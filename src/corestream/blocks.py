@@ -78,31 +78,6 @@ class CoresetBlock:
             )
 
 
-@dataclass(frozen=True)
-class ReductionParams:
-    """Row budget and verification settings for compression.
-
-    n is the row budget of one summary block.  k is the dimension of the
-    candidate subspaces used when verifying a summary empirically, and
-    epsilon_target the relative deviation the caller wants to stay
-    under.  Neither k nor epsilon_target affects the reduction itself.
-    """
-
-    n: int
-    k: int = 1
-    epsilon_target: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"row budget n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"subspace dimension k must be >= 1, got {self.k}")
-        if not 0.0 < self.epsilon_target <= 0.1:
-            raise ValueError(
-                f"epsilon_target must be in (0, 0.1], got {self.epsilon_target}"
-            )
-
-
 def _check_orthonormal(y: np.ndarray) -> None:
     gram = y.T @ y
     dev = float(np.max(np.abs(gram - np.eye(y.shape[1]))))
@@ -163,8 +138,8 @@ def svd_truncate(values: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return rows, tail
 
 
-def reduce_block(block: DataBlock, params: ReductionParams) -> CoresetBlock:
-    """Compress a block to at most params.n rows.
+def reduce_block(block: DataBlock, n: int) -> CoresetBlock:
+    """Compress a raw block to at most n rows.
 
     The output preserves every projected energy up to the additive
     constant it reports: for any orthonormal y,
@@ -172,11 +147,9 @@ def reduce_block(block: DataBlock, params: ReductionParams) -> CoresetBlock:
     A block whose rank does not exceed n is preserved exactly (c = 0 up
     to roundoff).
     """
-    if params.k >= block.dim:
-        raise ValueError(
-            f"subspace dimension k={params.k} must be below block dimension {block.dim}"
-        )
-    rows, tail = svd_truncate(block.values, params.n)
+    if n < 1:
+        raise ValueError(f"row budget n must be >= 1, got {n}")
+    rows, tail = svd_truncate(block.values, n)
     return CoresetBlock(block=DataBlock(rows), c=tail, source_rows=block.rows)
 
 

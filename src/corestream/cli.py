@@ -18,7 +18,7 @@ from dataclasses import replace
 from importlib import resources
 
 from . import bench, io
-from .blocks import measure_epsilon, reduce_block, ReductionParams
+from .blocks import measure_epsilon, reduce_block
 from .sampling import hierarchical_sample, random_sample, root_sample, subsample
 from .svm import TrainParams
 from .tracking import (
@@ -94,10 +94,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         raise CommandError(
             f"--epsilon-k {args.epsilon_k} must be below the data dimension {block.dim}"
         )
-    params = ReductionParams(n=args.n, k=args.epsilon_k)
     seed = _effective_seed(args.seed)
     _print_seed(seed)
-    summary = reduce_block(block, params)
+    summary = reduce_block(block, args.n)
     io.write_coreset(args.out, summary)
     eps = measure_epsilon(block, summary, args.epsilon_k, trials=args.trials, seed=seed)
     print(f"rows: {summary.block.rows}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ TELEMETRY_COLUMNS = (
     "cumulative_svd_count",
     "live_nodes",
     "push_time",
-    "train_time",
 )
 
 TRACK_COLUMNS = (
@@ -265,20 +263,12 @@ def read_snapshot(path: str) -> TreeView:
     return view
 
 
-def write_telemetry(
-    path: str, stats: StreamStats, train_seconds: Iterable[float] | None = None
-) -> None:
-    """Telemetry CSV, one record per push.
-
-    train_seconds, when given, must align with pushes (zero where no
-    training happened after that push).
-    """
-    trains = list(train_seconds) if train_seconds is not None else []
+def write_telemetry(path: str, stats: StreamStats) -> None:
+    """Telemetry CSV, one record per push."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TELEMETRY_COLUMNS)
         for i in range(len(stats.merges_per_push)):
-            train = trains[i] if i < len(trains) else 0.0
             writer.writerow(
                 [
                     i,
@@ -286,7 +276,6 @@ def write_telemetry(
                     stats.cumulative_svds[i],
                     stats.live_nodes[i],
                     repr(float(stats.push_seconds[i])),
-                    repr(float(train)),
                 ]
             )
 

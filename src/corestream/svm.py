@@ -53,15 +53,13 @@ class TrainParams:
     regularization scales the 0.5 * reg * |w|^2 penalty, step_size is
     the initial step of the 1/t decay and nu in (0, 1] sets what
     fraction of training rows may fall below the one-class threshold.
-    seed is reserved for stochastic variants; the full-batch solver
-    never draws randomness.
+    The full-batch solver never draws randomness.
     """
 
     regularization: float = 1e-3
     iterations: int = 200
     step_size: float = 1.0
     nu: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.regularization) and self.regularization > 0):
@@ -222,12 +220,3 @@ def train_binary(positives: SampleSet, negatives: SampleSet, params: TrainParams
     packed, _ = monotone_descent(packed0, obj, grad, params.iterations, params.step_size)
     w, b = unpack(packed)
     return LinearModel(w=w, b=b, threshold=0.0)
-
-
-def objective(model: LinearModel, samples: SampleSet, params: TrainParams) -> float:
-    """One-class training objective of a model's weights on these rows.
-
-    Evaluation helper for tests and diagnostics; training does not call
-    it.
-    """
-    return one_class_objective(model.w, samples.rows.values, params.regularization)

@@ -348,7 +348,7 @@ class _Trainer:
         self,
         mode: str,
         tree: CoresetTree,
-        history: list[np.ndarray],
+        history: list[np.ndarray] | None,
         train_params: TrainParams,
         seed: int,
     ):
@@ -403,7 +403,9 @@ def track_stream(
     n = tracker.n
 
     tree = CoresetTree(n, config.dim)
-    history: list[np.ndarray] = []
+    # Only the flat baselines read raw history; the tree-backed modes
+    # keep nothing beyond the tree.
+    history: list[np.ndarray] | None = [] if tracker.sampler in ("random", "subsample") else None
     trainer = _Trainer(tracker.sampler, tree, history, train_params, config.seed)
     jitter_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0B007)))
 
@@ -418,7 +420,8 @@ def track_stream(
     def push_rows(rows: list[np.ndarray]) -> bool:
         leaf = False
         for row in rows:
-            history.append(np.asarray(row, dtype=float))
+            if history is not None:
+                history.append(np.asarray(row, dtype=float))
             if tree.push_point(row).leaf_formed:
                 leaf = True
         return leaf

@@ -60,10 +60,6 @@ class MergeReport:
     leaf_formed: bool
     merged_levels: tuple[int, ...]
 
-    @property
-    def svd_count(self) -> int:
-        return len(self.merged_levels)
-
 
 @dataclass(frozen=True)
 class StreamStats:
@@ -79,19 +75,19 @@ class StreamStats:
     merge_count: int
 
 
-def _merge_summaries(a: CoresetBlock, b: CoresetBlock, n: int) -> tuple[CoresetBlock, bool]:
-    """Concatenate two summaries, compressing only when over budget.
+def _merge(older: CoresetBlock, newer: CoresetBlock, n: int) -> CoresetBlock:
+    """The one merge step: concatenate, compress to at most n rows, add constants.
 
-    Returns the merged summary and whether an SVD ran.  Constants
-    accumulate: the result's c is a.c + b.c plus any new truncation
-    tail.
+    Older rows go on top of the concatenation so summaries keep stream
+    order.  Every merge compresses, even when the concatenation fits the
+    budget, so merged rows always come back in sigma_i * v_i form and
+    merge_count and the SVD count stay the same number.  The result's c
+    is older.c + newer.c plus the new truncation tail, which is zero when
+    the concatenation fits.
     """
-    cat = concat_blocks(a, b)
-    if cat.block.rows <= n:
-        return cat, False
+    cat = concat_blocks(older, newer)
     rows, tail = svd_truncate(cat.block.values, n)
-    merged = CoresetBlock(block=DataBlock(rows), c=cat.c + tail, source_rows=cat.source_rows)
-    return merged, True
+    return CoresetBlock(block=DataBlock(rows), c=cat.c + tail, source_rows=cat.source_rows)
 
 
 class CoresetTree:
@@ -182,19 +178,10 @@ class CoresetTree:
         while len(self._stack) >= 2 and self._stack[-1].level == self._stack[-2].level:
             newer = self._stack.pop()
             older = self._stack.pop()
-            # Older rows go on top of the concatenation so summaries
-            # keep stream order.  Every merge compresses, even when the
-            # concatenation happens to fit the budget, so merge_count
-            # and the SVD count stay the same number.
-            cat = concat_blocks(older.summary, newer.summary)
-            rows, tail = svd_truncate(cat.block.values, self.n)
-            summary = CoresetBlock(
-                block=DataBlock(rows), c=cat.c + tail, source_rows=cat.source_rows
-            )
             self._stack.append(
                 CoresetNode(
                     level=older.level + 1,
-                    summary=summary,
+                    summary=_merge(older.summary, newer.summary, self.n),
                     span=(older.span[0], newer.span[1]),
                 )
             )
@@ -242,28 +229,26 @@ class CoresetTree:
 def collapse(view: TreeView) -> CoresetBlock:
     """Merge every live node plus pending rows into one summary block.
 
-    Nodes are folded oldest-first, pending rows last, compressing only
-    when an intermediate result exceeds the row budget.  A view with a
-    single node and no pending rows comes back as that node's summary.
+    Nodes are folded oldest-first, pending rows last, each fold step
+    being the same compressing merge the tree itself runs, so the result
+    holds at most min(n, dim) rows in sigma_i * v_i form.  A view with a
+    single node and no pending rows comes back as that node's summary,
+    and a view holding only pending rows comes back as those raw rows.
     """
     if not view.nodes and view.pending.shape[0] == 0:
         raise ValueError("empty tree has nothing to collapse")
-    acc: CoresetBlock | None = None
-    for node in view.nodes:
-        if acc is None:
-            acc = node.summary
-        else:
-            acc, _ = _merge_summaries(acc, node.summary, view.n)
+    parts = [node.summary for node in view.nodes]
     if view.pending.shape[0] > 0:
-        buffered = CoresetBlock(
-            block=DataBlock(view.pending),
-            c=0.0,
-            source_rows=view.pending.shape[0],
+        parts.append(
+            CoresetBlock(
+                block=DataBlock(view.pending),
+                c=0.0,
+                source_rows=view.pending.shape[0],
+            )
         )
-        if acc is None:
-            acc = buffered
-        else:
-            acc, _ = _merge_summaries(acc, buffered, view.n)
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = _merge(acc, part, view.n)
     return acc
 
 
@@ -273,9 +258,16 @@ def validate_view(view: TreeView) -> None:
     for lower, upper in zip(levels, levels[1:]):
         if upper >= lower:
             raise ValueError(f"stack levels must strictly decrease, got {levels}")
-    if len(view.nodes) != bin(view.leaves_seen).count("1"):
+    live = bin(view.leaves_seen).count("1")
+    if len(view.nodes) != live:
+        raise ValueError(f"live nodes {len(view.nodes)} != popcount of leaves {view.leaves_seen}")
+    if view.merge_count != view.leaves_seen - live:
         raise ValueError(
-            f"live nodes {len(view.nodes)} != popcount of leaves {view.leaves_seen}"
+            f"merge_count {view.merge_count} != leaves {view.leaves_seen} - popcount {live}"
+        )
+    if view.max_live_nodes != view.leaves_seen.bit_length():
+        raise ValueError(
+            f"max_live_nodes {view.max_live_nodes} != bit length of leaves {view.leaves_seen}"
         )
     covered = 0
     prev_last = None
@@ -290,12 +282,16 @@ def validate_view(view: TreeView) -> None:
             raise ValueError("node spans must tile the stream contiguously")
         prev_last = last
         covered += last - first
+        if node.summary.block.dim != view.dim:
+            raise ValueError(f"node summary has dim {node.summary.block.dim}, view has {view.dim}")
         if node.summary.block.rows > view.n:
             raise ValueError("node summary exceeds the row budget")
         if node.summary.source_rows != last - first:
             raise ValueError("node source_rows disagrees with its span")
         if node.summary.c < 0:
             raise ValueError("node constant must be >= 0")
+    if view.pending.ndim != 2 or view.pending.shape[1] != view.dim:
+        raise ValueError(f"pending has shape {view.pending.shape}, expected (p, {view.dim})")
     if view.pending.shape[0] >= view.n:
         raise ValueError("pending buffer must stay below one leaf")
     if covered + view.pending.shape[0] != view.points_seen:

@@ -21,7 +21,6 @@ from corestream import (
     DataBlock,
     DetectParams,
     KalmanState,
-    ReductionParams,
     RowTag,
     SampleSet,
     TrackerParams,
@@ -96,7 +95,7 @@ def test_criterion_02_reduce_exactness_on_low_rank():
         m = rng.normal(size=(rows, r)) @ rng.normal(size=(r, d))
         n = int(rng.integers(r, rows + 1))
         k = int(rng.integers(1, d))
-        red = reduce_block(DataBlock(m), ReductionParams(n=n, k=k))
+        red = reduce_block(DataBlock(m), n)
         worst_c = max(worst_c, red.c)
         worst_eps = max(worst_eps, measure_epsilon(DataBlock(m), red, k=k, trials=100, seed=i))
     ok = worst_eps <= 1e-8 and worst_c <= 1e-16
@@ -118,7 +117,7 @@ def test_criterion_03_sandwich_bound():
         n = int(rng.integers(2, 11))
         d = int(rng.integers(3, 25))
         block = DataBlock(rng.normal(size=(2 * n, d)))
-        red = reduce_block(block, ReductionParams(n=n, k=min(2, d - 1)))
+        red = reduce_block(block, n)
         for t in range(30):
             y = random_orthonormal(d, int(rng.integers(1, d + 1)), seed=3000 + 100 * i + t)
             hi = dist_sq(block, y)

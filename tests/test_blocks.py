@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from corestream import (
     CoresetBlock,
     DataBlock,
-    ReductionParams,
     concat_blocks,
     dist_sq,
     measure_epsilon,
@@ -65,19 +64,6 @@ def test_coreset_block_validation():
     ok = CoresetBlock(block=block, c=0.5, source_rows=10)
     assert ok.c == 0.5
     assert ok.source_rows == 10
-
-
-def test_reduction_params_validation():
-    with pytest.raises(ValueError):
-        ReductionParams(n=0)
-    with pytest.raises(ValueError):
-        ReductionParams(n=2, k=0)
-    with pytest.raises(ValueError):
-        ReductionParams(n=2, epsilon_target=0.0)
-    with pytest.raises(ValueError):
-        ReductionParams(n=2, epsilon_target=0.2)
-    params = ReductionParams(n=4, k=2, epsilon_target=0.05)
-    assert params.n == 4
 
 
 def test_dist_sq_matches_hand_projection():
@@ -151,17 +137,17 @@ def test_svd_truncate_deterministic():
 def test_reduce_block_lossless_below_budget():
     a = known_spectrum(20, 8, [5.0, 1.0], seed=9)
     original = DataBlock(a)
-    summary = reduce_block(original, ReductionParams(n=3, k=1))
+    summary = reduce_block(original, 3)
     assert summary.block.rows == 3
     assert summary.source_rows == 20
     assert summary.c <= 1e-16
     assert measure_epsilon(original, summary, k=1) <= 1e-8
 
 
-def test_reduce_block_rejects_wide_probe_subspace():
+def test_reduce_block_rejects_empty_budget():
     block = DataBlock(np.ones((4, 3)))
-    with pytest.raises(ValueError):
-        reduce_block(block, ReductionParams(n=2, k=3))
+    with pytest.raises(ValueError, match="row budget"):
+        reduce_block(block, 0)
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
@@ -174,7 +160,7 @@ def test_reduce_block_rejects_wide_probe_subspace():
 def test_sandwich_bound_on_random_blocks(seed, rows, dim, n):
     rng = np.random.default_rng(seed)
     original = DataBlock(rng.standard_normal((rows, dim)))
-    summary = reduce_block(original, ReductionParams(n=n, k=1))
+    summary = reduce_block(original, n)
     for t in range(5):
         cols = 1 + (seed + t) % dim
         y = random_orthonormal(dim, cols, seed + 1000 + t)
@@ -185,8 +171,8 @@ def test_sandwich_bound_on_random_blocks(seed, rows, dim, n):
 
 def test_concat_blocks_adds_everything():
     rng = np.random.default_rng(4)
-    a = reduce_block(DataBlock(rng.standard_normal((10, 5))), ReductionParams(n=3))
-    b = reduce_block(DataBlock(rng.standard_normal((7, 5))), ReductionParams(n=3))
+    a = reduce_block(DataBlock(rng.standard_normal((10, 5))), 3)
+    b = reduce_block(DataBlock(rng.standard_normal((7, 5))), 3)
     cat = concat_blocks(a, b)
     assert cat.block.rows == a.block.rows + b.block.rows
     assert cat.c == pytest.approx(a.c + b.c, rel=1e-12, abs=1e-300)

@@ -11,7 +11,6 @@ from corestream import (
     TrainParams,
     decision,
     decisions,
-    objective,
     train_binary,
     train_one_class,
 )
@@ -174,12 +173,3 @@ def test_train_binary_dimension_mismatch():
         train_binary(
             as_sample(np.ones((2, 3))), as_sample(np.ones((2, 4))), TrainParams()
         )
-
-
-def test_objective_helper_matches_direct_evaluation():
-    _, rows = clustered_rows(15, 4, seed=6)
-    sample = as_sample(rows)
-    params = TrainParams()
-    model = train_one_class(sample, params)
-    want = one_class_objective(model.w, rows, params.regularization)
-    assert objective(model, sample, params) == pytest.approx(want, rel=1e-12)

@@ -254,3 +254,25 @@ def test_node_constant_grows_with_lossy_merges():
     assert any(node.summary.c > 0 for node in view.nodes)
     for node in view.nodes:
         assert node.summary.block.rows <= 2
+
+
+@pytest.mark.parametrize("n, dim, points", [(64, 16, 6 * 64 + 1), (8, 3, 6 * 8 + 2)])
+def test_root_collapse_is_canonical_when_the_fold_fits_the_budget(n, dim, points):
+    # Six leaves leave two compressed nodes of dim rows each; with the
+    # pending rows the whole fold fits n rows, and every fold step
+    # still compresses to the sigma_i * v_i form the nodes have.
+    tree = CoresetTree(n, dim)
+    push_stream(tree, points, seed=13)
+    view = tree.snapshot()
+    parts = [node.summary.block.values for node in view.nodes] + [view.pending]
+    assert sum(part.shape[0] for part in parts) <= n
+    root = tree.root_collapse()
+    assert root.block.rows == min(n, dim)
+    norms = np.linalg.norm(root.block.values, axis=1)
+    assert np.all(np.diff(norms) <= 0.0)
+    for row in root.block.values:
+        assert row[np.argmax(np.abs(row))] > 0.0
+    assert root.c == sum(node.summary.c for node in view.nodes)
+    assert root.source_rows == points
+    gram = sum(part.T @ part for part in parts)
+    assert np.max(np.abs(root.block.values.T @ root.block.values - gram)) <= 1e-9 * np.max(gram)
