@@ -158,6 +158,7 @@ def _forward_pass(
     filt_m = np.zeros((t_len, STATE_DIM))
     filt_p = np.zeros((t_len, STATE_DIM, STATE_DIM))
     loglik = 0.0
+    log_2pi = OBS_DIM * np.log(2.0 * np.pi)
     m, p = mu0, p0
     for t in range(t_len):
         if t > 0:
@@ -165,18 +166,19 @@ def _forward_pass(
             p = _sym(f @ p @ f.T + q)
         pred_m[t] = m
         pred_p[t] = p
-        innovation = zs[t] - _H @ m
-        s = _sym(_H @ p @ _H.T + r)
-        s_inv = np.linalg.inv(s)
-        sign, logdet = np.linalg.slogdet(s)
-        if sign <= 0:
+        # H reads out position, so H m and H P H^T are leading slices
+        # and the 2x2 innovation covariance inverts in closed form.
+        innovation = zs[t] - m[:OBS_DIM]
+        (s00, s01), (s10, s11) = _sym(p[:OBS_DIM, :OBS_DIM] + r).tolist()
+        det = s00 * s11 - s01 * s10
+        if not det > 0:
             raise np.linalg.LinAlgError("innovation covariance not positive definite")
-        loglik += -0.5 * (
-            OBS_DIM * np.log(2.0 * np.pi) + logdet + innovation @ s_inv @ innovation
-        )
-        gain = p @ _H.T @ s_inv
+        s_inv = np.array([[s11, -s01], [-s10, s00]]) / det
+        loglik += -0.5 * (log_2pi + np.log(det) + innovation @ s_inv @ innovation)
+        gain = p[:, :OBS_DIM] @ s_inv
         m = m + gain @ innovation
-        ikh = np.eye(STATE_DIM) - gain @ _H
+        ikh = np.eye(STATE_DIM)
+        ikh[:, :OBS_DIM] -= gain
         p = _sym(ikh @ p @ ikh.T + gain @ r @ gain.T)
         filt_m[t] = m
         filt_p[t] = p
@@ -198,15 +200,17 @@ def _smooth_pass(
     f = transition_matrix(1.0)
     sm = filt_m.copy()
     sp = filt_p.copy()
-    gains = np.zeros((t_len, STATE_DIM, STATE_DIM))
+    # The gains J[t] = filt_p[t] F^T pred_p[t+1]^-1 depend on the
+    # covariances only, so one batched solve of
+    # pred_p[t+1]^T J[t]^T = F filt_p[t]^T yields all of them.
+    gains_t = np.linalg.solve(np.swapaxes(pred_p[1:], 1, 2), f @ np.swapaxes(filt_p[:-1], 1, 2))
+    gains = np.swapaxes(gains_t, 1, 2)
     for t in range(t_len - 2, -1, -1):
-        j = np.linalg.solve(pred_p[t + 1].T, (f @ filt_p[t].T)).T
-        gains[t] = j
+        j = gains[t]
         sm[t] = filt_m[t] + j @ (sm[t + 1] - pred_m[t + 1])
         sp[t] = _sym(filt_p[t] + j @ (sp[t + 1] - pred_p[t + 1]) @ j.T)
     lag = np.zeros((t_len, STATE_DIM, STATE_DIM))
-    for t in range(1, t_len):
-        lag[t] = sp[t] @ gains[t - 1].T
+    lag[1:] = sp[1:] @ np.swapaxes(gains, 1, 2)
     return sm, sp, lag
 
 
@@ -235,23 +239,23 @@ def _em_once(
     pred_m, pred_p, filt_m, filt_p, loglik = _forward_pass(zs, q, r, mu0, p0)
     sm, sp, lag = _smooth_pass(pred_m, pred_p, filt_m, filt_p)
 
-    q_sum = np.zeros((STATE_DIM, STATE_DIM))
-    for t in range(t_len - 1):
-        ex_next = sp[t + 1] + np.outer(sm[t + 1], sm[t + 1])
-        ex_cross = lag[t + 1] + np.outer(sm[t + 1], sm[t])
-        ex_cur = sp[t] + np.outer(sm[t], sm[t])
-        q_sum += (
-            ex_next
-            - ex_cross @ f.T
-            - f @ ex_cross.T
-            + f @ ex_cur @ f.T
-        )
+    # Q's sufficient statistic sum_t E[(x[t+1] - F x[t])(x[t+1] - F x[t])^T]
+    # as array reductions over t; the mean part is the outer product of
+    # the smoothed one-step residuals, which avoids cancelling the large
+    # second moments of the positions against each other.
+    step = sm[1:] - sm[:-1] @ f.T
+    lag_sum = lag[1:].sum(axis=0)
+    q_sum = (
+        step.T @ step
+        + sp[1:].sum(axis=0)
+        - lag_sum @ f.T
+        - f @ lag_sum.T
+        + f @ sp[:-1].sum(axis=0) @ f.T
+    )
     q_new = _sym(q_sum / (t_len - 1))
 
-    r_sum = np.zeros((OBS_DIM, OBS_DIM))
-    for t in range(t_len):
-        resid = zs[t] - _H @ sm[t]
-        r_sum += np.outer(resid, resid) + _H @ sp[t] @ _H.T
+    resid = zs - sm[:, :OBS_DIM]
+    r_sum = resid.T @ resid + sp[:, :OBS_DIM, :OBS_DIM].sum(axis=0)
     r_new = _sym(r_sum / t_len)
 
     for m in (q_new, r_new):

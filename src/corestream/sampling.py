@@ -112,26 +112,44 @@ def root_sample(view: TreeView) -> SampleSet:
     )
 
 
+def random_indices(m: int, n: int, seed: int) -> np.ndarray:
+    """Rows random_sample keeps from an m-row history, in stream order.
+
+    n indices drawn uniformly without replacement, or all m when m <= n.
+    """
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
+    if m <= n:
+        return np.arange(m)
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(m, size=n, replace=False))
+
+
+def subsample_indices(m: int, n: int) -> np.ndarray:
+    """Rows subsample keeps from an m-row history: the distinct values
+    of floor(j * m / n) for j < n."""
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n}")
+    return np.unique([(j * m) // n for j in range(n)])
+
+
+def raw_sample(rows: np.ndarray, idx: np.ndarray, n: int, points_seen: int) -> SampleSet:
+    """Sample of raw history rows already picked at indices idx.
+
+    Lets a caller holding the history in another form than a DataBlock
+    copy only the rows it keeps.
+    """
+    tags = tuple(RowTag(level=RAW_LEVEL, row=int(i)) for i in idx)
+    return SampleSet(rows=DataBlock(rows), tags=tags, n=n, points_seen=points_seen)
+
+
 def random_sample(history: DataBlock, n: int, seed: int) -> SampleSet:
     """n rows drawn uniformly without replacement, in stream order.
 
     A history shorter than n comes back whole.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    m = history.rows
-    if m <= n:
-        idx = np.arange(m)
-    else:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(m, size=n, replace=False))
-    tags = tuple(RowTag(level=RAW_LEVEL, row=int(i)) for i in idx)
-    return SampleSet(
-        rows=DataBlock(history.values[idx]),
-        tags=tags,
-        n=n,
-        points_seen=m,
-    )
+    idx = random_indices(history.rows, n, seed)
+    return raw_sample(history.values[idx], idx, n, history.rows)
 
 
 def subsample(history: DataBlock, n: int) -> SampleSet:
@@ -140,14 +158,5 @@ def subsample(history: DataBlock, n: int) -> SampleSet:
     Duplicate indices (history shorter than n) are dropped, so the
     result always holds exactly min(n, rows) distinct rows.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    m = history.rows
-    idx = np.unique([(j * m) // n for j in range(n)])
-    tags = tuple(RowTag(level=RAW_LEVEL, row=int(i)) for i in idx)
-    return SampleSet(
-        rows=DataBlock(history.values[idx]),
-        tags=tags,
-        n=n,
-        points_seen=m,
-    )
+    idx = subsample_indices(history.rows, n)
+    return raw_sample(history.values[idx], idx, n, history.rows)

@@ -9,6 +9,10 @@ number of full-batch iterations with a 1/t step decay, and every step
 is backtracked until the objective does not rise, which makes the
 objective sequence non-increasing by construction and the whole
 procedure deterministic.
+
+The backtracking line search scores its candidate steps in blocks of
+1, 2, 4, ... with one objective call per block, so both objectives take
+either one point of shape (d,) or a stack of points of shape (k, d).
 """
 
 from __future__ import annotations
@@ -88,10 +92,15 @@ def decisions(model: LinearModel, rows: np.ndarray) -> np.ndarray:
     return rows @ model.w + model.b
 
 
-def one_class_objective(w: np.ndarray, rows: np.ndarray, reg: float) -> float:
-    """0.5 * reg * |w|^2 plus the mean origin-separating hinge at margin 1."""
-    margins = 1.0 - rows @ w
-    return 0.5 * reg * float(w @ w) + float(np.mean(np.maximum(margins, 0.0)))
+def one_class_objective(w: np.ndarray, rows: np.ndarray, reg: float) -> float | np.ndarray:
+    """0.5 * reg * |w|^2 plus the mean origin-separating hinge at margin 1.
+
+    w is one weight vector of shape (d,), which gives a float, or a
+    stack of shape (k, d), which gives an array of k values.
+    """
+    hinge = np.maximum(1.0 - w @ rows.T, 0.0).sum(axis=-1) / rows.shape[0]
+    value = 0.5 * reg * (w * w).sum(axis=-1) + hinge
+    return float(value) if w.ndim == 1 else value
 
 
 def one_class_subgradient(w: np.ndarray, rows: np.ndarray, reg: float) -> np.ndarray:
@@ -104,11 +113,18 @@ def one_class_subgradient(w: np.ndarray, rows: np.ndarray, reg: float) -> np.nda
 
 
 def binary_objective(
-    w: np.ndarray, b: float, rows: np.ndarray, labels: np.ndarray, reg: float
-) -> float:
-    """0.5 * reg * |w|^2 plus the mean labeled hinge; b is unpenalized."""
-    margins = 1.0 - labels * (rows @ w + b)
-    return 0.5 * reg * float(w @ w) + float(np.mean(np.maximum(margins, 0.0)))
+    w: np.ndarray, b: float | np.ndarray, rows: np.ndarray, labels: np.ndarray, reg: float
+) -> float | np.ndarray:
+    """0.5 * reg * |w|^2 plus the mean labeled hinge; b is unpenalized.
+
+    Takes one point, w of shape (d,) with a float b, which gives a
+    float, or a stack, w of shape (k, d) with b of shape (k,), which
+    gives an array of k values.
+    """
+    scores = w @ rows.T + np.asarray(b)[..., None]
+    hinge = np.maximum(1.0 - labels * scores, 0.0).sum(axis=-1) / rows.shape[0]
+    value = 0.5 * reg * (w * w).sum(axis=-1) + hinge
+    return float(value) if w.ndim == 1 else value
 
 
 def binary_subgradient(
@@ -127,34 +143,48 @@ def binary_subgradient(
 
 def monotone_descent(
     x0: np.ndarray,
-    objective_fn: Callable[[np.ndarray], float],
+    objective_fn: Callable[[np.ndarray], np.ndarray],
     subgradient_fn: Callable[[np.ndarray], np.ndarray],
     iterations: int,
     step_size: float,
 ) -> tuple[np.ndarray, list[float]]:
     """Subgradient descent whose recorded objective never increases.
 
-    Iteration t proposes x - (step_size / (t + 1)) * g and halves the
-    step until the objective stops rising; a step that cannot be made
-    to descend is dropped.  Returns the final iterate and the objective
-    value before the first step and after each iteration.
+    Iteration t tries the steps (step_size / (t + 1)) * 2**-j for
+    j < _BACKTRACK_LIMIT in order and moves to the first candidate
+    x - step * g whose objective does not exceed the current value; a
+    step that cannot be made to descend is dropped.
+
+    objective_fn takes a stack of points of shape (k, d) and returns
+    their k objective values.  The candidates are scored in blocks of
+    1, 2, 4, ... consecutive halvings, one objective_fn call per block,
+    and the first qualifying candidate of the first block that holds
+    one is taken, which is the step the one-at-a-time search takes.  A
+    search settled at halving j thus scores at most 2j + 1 candidates;
+    one whose first step is accepted scores one.
+
+    Returns the final iterate and the objective value before the first
+    step and after each iteration.
     """
     x = np.array(x0, dtype=float)
-    path = [objective_fn(x)]
+    path = [float(objective_fn(x[None, :])[0])]
+    halvings = np.ldexp(1.0, -np.arange(_BACKTRACK_LIMIT))
     for t in range(iterations):
         g = subgradient_fn(x)
-        step = step_size / (t + 1.0)
-        accepted = False
-        for _ in range(_BACKTRACK_LIMIT):
-            candidate = x - step * g
-            value = objective_fn(candidate)
-            if value <= path[-1]:
-                x = candidate
-                path.append(value)
-                accepted = True
+        steps = (step_size / (t + 1.0)) * halvings
+        start, size = 0, 1
+        while start < _BACKTRACK_LIMIT:
+            candidates = x - steps[start : start + size, None] * g
+            values = objective_fn(candidates)
+            descends = values <= path[-1]
+            if descends.any():
+                j = int(descends.argmax())
+                x = candidates[j]
+                path.append(float(values[j]))
                 break
-            step *= 0.5
-        if not accepted:
+            start += size
+            size *= 2
+        else:
             path.append(path[-1])
     return x, path
 
@@ -208,9 +238,8 @@ def train_binary(positives: SampleSet, negatives: SampleSet, params: TrainParams
     def unpack(v: np.ndarray) -> tuple[np.ndarray, float]:
         return v[:d], float(v[d])
 
-    def obj(v: np.ndarray) -> float:
-        w, b = unpack(v)
-        return binary_objective(w, b, rows, labels, params.regularization)
+    def obj(stack: np.ndarray) -> np.ndarray:
+        return binary_objective(stack[:, :d], stack[:, d], rows, labels, params.regularization)
 
     def grad(v: np.ndarray) -> np.ndarray:
         w, b = unpack(v)

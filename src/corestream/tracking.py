@@ -21,7 +21,14 @@ import numpy as np
 
 from .blocks import DataBlock
 from .kalman import KalmanState, NoiseParams, em_fit, kalman_predict, kalman_update
-from .sampling import SampleSet, hierarchical_sample, random_sample, root_sample, subsample
+from .sampling import (
+    SampleSet,
+    hierarchical_sample,
+    random_indices,
+    raw_sample,
+    root_sample,
+    subsample_indices,
+)
 from .svm import LinearModel, TrainParams, decisions, train_one_class
 from .tree import CoresetTree
 
@@ -259,14 +266,14 @@ def suppress(
     index order breaking ties.
     """
     order = np.argsort(-scores, kind="stable")
+    near = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1) < radius
+    blocked = np.zeros(len(order), dtype=bool)
     kept: list[int] = []
     for idx in order:
-        if scores[idx] < threshold:
-            continue
-        pos = positions[idx]
-        if any(float(np.linalg.norm(pos - positions[k])) < radius for k in kept):
+        if scores[idx] < threshold or blocked[idx]:
             continue
         kept.append(int(idx))
+        blocked |= near[idx]
     return kept
 
 
@@ -364,13 +371,17 @@ class _Trainer:
             return hierarchical_sample(self.tree.snapshot())
         if self.mode == "root":
             return root_sample(self.tree.snapshot())
-        block = DataBlock(np.vstack(self.history))
+        # Pick indices by the rule of subsample / random_sample, then
+        # copy only those rows, so a retrain costs O(n), not O(stream).
+        m, n = len(self.history), self.tree.n
         if self.mode == "subsample":
-            return subsample(block, self.tree.n)
-        draw_seed = int(
-            np.random.SeedSequence((self.seed, self.trainings)).generate_state(1)[0]
-        )
-        return random_sample(block, self.tree.n, draw_seed)
+            idx = subsample_indices(m, n)
+        else:
+            draw_seed = int(
+                np.random.SeedSequence((self.seed, self.trainings)).generate_state(1)[0]
+            )
+            idx = random_indices(m, n, draw_seed)
+        return raw_sample(np.vstack([self.history[i] for i in idx]), idx, n, m)
 
     def retrain(self) -> tuple[LinearModel, int]:
         sample = self.sample()

@@ -11,7 +11,16 @@ from corestream import (
     kalman_predict,
     kalman_update,
 )
-from corestream.kalman import observation_matrix, transition_matrix
+from corestream.kalman import (
+    COV_FLOOR,
+    _em_once,
+    _forward_pass,
+    _initial_guesses,
+    _smooth_pass,
+    _sym,
+    observation_matrix,
+    transition_matrix,
+)
 
 
 def cv_track(t_len: int, seed: int, r_std: float = 2.0, q_vel: float = 0.05):
@@ -160,3 +169,123 @@ def test_em_handles_identical_centers():
     assert np.all(np.isfinite(fitted.Q))
     assert np.all(np.isfinite(fitted.R))
     assert np.all(np.diag(fitted.Q) >= 1e-9)
+
+
+def general_forward_pass(zs, q, r, mu0, p0):
+    """Reference filter: the general inverse and log-determinant of the
+    innovation covariance, with H applied as a matrix."""
+    f, h = transition_matrix(1.0), observation_matrix()
+    m, p = mu0, p0
+    means, covs, loglik = [], [], 0.0
+    for t in range(zs.shape[0]):
+        if t > 0:
+            m = f @ m
+            p = _sym(f @ p @ f.T + q)
+        innovation = zs[t] - h @ m
+        s = _sym(h @ p @ h.T + r)
+        s_inv = np.linalg.inv(s)
+        logdet = np.linalg.slogdet(s)[1]
+        loglik += -0.5 * (2 * np.log(2 * np.pi) + logdet + innovation @ s_inv @ innovation)
+        gain = p @ h.T @ s_inv
+        m = m + gain @ innovation
+        ikh = np.eye(4) - gain @ h
+        p = _sym(ikh @ p @ ikh.T + gain @ r @ gain.T)
+        means.append(m)
+        covs.append(p)
+    return np.array(means), np.array(covs), loglik
+
+
+def looped_smooth_pass(pred_m, pred_p, filt_m, filt_p):
+    """Reference RTS smoother: one gain solve per step."""
+    f = transition_matrix(1.0)
+    t_len = pred_m.shape[0]
+    sm, sp = filt_m.copy(), filt_p.copy()
+    gains = np.zeros((t_len, 4, 4))
+    for t in range(t_len - 2, -1, -1):
+        j = np.linalg.solve(pred_p[t + 1].T, f @ filt_p[t].T).T
+        gains[t] = j
+        sm[t] = filt_m[t] + j @ (sm[t + 1] - pred_m[t + 1])
+        sp[t] = _sym(filt_p[t] + j @ (sp[t + 1] - pred_p[t + 1]) @ j.T)
+    lag = np.zeros((t_len, 4, 4))
+    for t in range(1, t_len):
+        lag[t] = sp[t] @ gains[t - 1].T
+    return sm, sp, lag
+
+
+def looped_m_step(zs, sm, sp, lag):
+    """Reference M-step: per-t expected second moments, summed in a
+    loop, computed in the dtype of the smoothed moments."""
+    f = transition_matrix(1.0).astype(sm.dtype)
+    h = observation_matrix().astype(sm.dtype)
+    t_len = zs.shape[0]
+    q_sum = np.zeros((4, 4), dtype=sm.dtype)
+    for t in range(t_len - 1):
+        ex_next = sp[t + 1] + np.outer(sm[t + 1], sm[t + 1])
+        ex_cross = lag[t + 1] + np.outer(sm[t + 1], sm[t])
+        ex_cur = sp[t] + np.outer(sm[t], sm[t])
+        q_sum += ex_next - ex_cross @ f.T - f @ ex_cross.T + f @ ex_cur @ f.T
+    r_sum = np.zeros((2, 2), dtype=sm.dtype)
+    for t in range(t_len):
+        resid = zs[t] - h @ sm[t]
+        r_sum += np.outer(resid, resid) + h @ sp[t] @ h.T
+    out = []
+    for m in (_sym(q_sum / (t_len - 1)), _sym(r_sum / t_len)):
+        np.fill_diagonal(m, np.maximum(np.diag(m), COV_FLOOR))
+        out.append(m)
+    return out
+
+
+def em_sweeps(seeds, t_len, sweeps):
+    """Inputs (zs, q, r, mu0, p0) of the first `sweeps` EM sweeps on
+    each criterion-11-style track."""
+    for seed in seeds:
+        _, zs = cv_track(t_len, seed)
+        mu0, p0, q, r = _initial_guesses(zs)
+        for _ in range(sweeps):
+            yield zs, q, r, mu0, p0
+            q, r, _ = _em_once(zs, q, r, mu0, p0)
+
+
+def test_forward_pass_matches_the_general_2x2_algebra():
+    for zs, q, r, mu0, p0 in em_sweeps(range(5), 80, 5):
+        _, _, filt_m, filt_p, loglik = _forward_pass(zs, q, r, mu0, p0)
+        ref_m, ref_p, ref_loglik = general_forward_pass(zs, q, r, mu0, p0)
+        assert np.allclose(filt_m, ref_m, rtol=1e-12, atol=1e-9)
+        assert np.allclose(filt_p, ref_p, rtol=1e-12, atol=1e-12)
+        assert abs(loglik - ref_loglik) <= 1e-12 * abs(ref_loglik)
+
+
+def test_smooth_pass_matches_the_per_step_solves():
+    for zs, q, r, mu0, p0 in em_sweeps(range(5), 80, 5):
+        filtered = _forward_pass(zs, q, r, mu0, p0)[:4]
+        for got, ref in zip(_smooth_pass(*filtered), looped_smooth_pass(*filtered)):
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_forward_pass_rejects_a_singular_innovation():
+    zs = np.zeros((5, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        _forward_pass(zs, np.eye(4), -np.eye(2), np.zeros(4), np.eye(4))
+
+
+def test_em_once_matches_the_looped_m_step():
+    # The loop cancels position second moments of order |x|^2 ~ 1e4
+    # against each other at every t, which costs it about 1e-12 of
+    # absolute error in Q; the loop-free sweep forms Q from one-step
+    # residuals and does not.  The looped reference therefore runs in
+    # extended precision, from the same smoothed moments.
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("needs a long double wider than float64")
+    worst_q = worst_r = worst_loop = 0.0
+    for zs, q, r, mu0, p0 in em_sweeps(range(20), 80, 10):
+        q_new, r_new, _ = _em_once(zs, q, r, mu0, p0)
+        sm, sp, lag = _smooth_pass(*_forward_pass(zs, q, r, mu0, p0)[:4])
+        wide = [a.astype(np.longdouble) for a in (zs, sm, sp, lag)]
+        q_ref, r_ref = looped_m_step(*wide)
+        q_loop, _ = looped_m_step(zs, sm, sp, lag)
+        worst_q = max(worst_q, float(np.max(np.abs(q_new - q_ref))))
+        worst_r = max(worst_r, float(np.max(np.abs(r_new - r_ref))))
+        worst_loop = max(worst_loop, float(np.max(np.abs(q_loop - q_ref))))
+    assert worst_q <= 1e-12
+    assert worst_r <= 1e-12
+    assert worst_q <= worst_loop

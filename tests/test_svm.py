@@ -15,6 +15,9 @@ from corestream import (
     train_one_class,
 )
 from corestream.svm import (
+    _BACKTRACK_LIMIT,
+    binary_objective,
+    binary_subgradient,
     monotone_descent,
     one_class_objective,
     one_class_subgradient,
@@ -74,7 +77,7 @@ def test_decision_and_decisions_agree():
 
 
 def test_monotone_descent_on_a_quadratic():
-    obj = lambda x: float((x[0] - 3.0) ** 2)
+    obj = lambda x: (x[:, 0] - 3.0) ** 2
     grad = lambda x: np.array([2.0 * (x[0] - 3.0)])
     x, path = monotone_descent(np.zeros(1), obj, grad, iterations=100, step_size=1.0)
     assert abs(x[0] - 3.0) < 1e-6
@@ -86,11 +89,157 @@ def test_monotone_descent_on_a_quadratic():
 def test_monotone_descent_never_accepts_a_worse_point():
     # A hostile objective: the gradient points uphill, so every proposal
     # is worse and the solver must keep the starting point.
-    obj = lambda x: float(x[0])
+    obj = lambda x: x[:, 0]
     grad = lambda x: np.array([-1.0])
     x, path = monotone_descent(np.zeros(1), obj, grad, iterations=5, step_size=1.0)
     assert x[0] == 0.0
     assert path == [0.0] * 6
+
+
+def sequential_descent(x0, objective_fn, subgradient_fn, iterations, step_size):
+    """Reference line search: one candidate per objective call, halving
+    until the objective does not rise.  Also returns the accepted
+    halving index of every iteration, -1 where no step was taken."""
+    x = np.array(x0, dtype=float)
+    path = [float(objective_fn(x[None, :])[0])]
+    accepted = []
+    for t in range(iterations):
+        g = subgradient_fn(x)
+        step = step_size / (t + 1.0)
+        for j in range(_BACKTRACK_LIMIT):
+            candidate = x - step * g
+            value = float(objective_fn(candidate[None, :])[0])
+            if value <= path[-1]:
+                x = candidate
+                path.append(value)
+                accepted.append(j)
+                break
+            step *= 0.5
+        else:
+            path.append(path[-1])
+            accepted.append(-1)
+    return x, path, accepted
+
+
+def traced_descent(x0, objective_fn, subgradient_fn, iterations, step_size):
+    """monotone_descent plus, per iteration, the accepted halving index
+    (read off the iterates) and the sizes of the stacks it scored."""
+    iterates, grads, stacks = [], [], []
+
+    def obj(stack):
+        if grads:
+            stacks[-1].append(stack.shape[0])
+        return objective_fn(stack)
+
+    def grad(x):
+        iterates.append(x.copy())
+        grads.append(subgradient_fn(x))
+        stacks.append([])
+        return grads[-1]
+
+    x, path = monotone_descent(x0, obj, grad, iterations, step_size)
+    iterates.append(x)
+    accepted = []
+    for t, g in enumerate(grads):
+        before, after = iterates[t], iterates[t + 1]
+        steps = [step_size / (t + 1.0) * 0.5**j for j in range(_BACKTRACK_LIMIT)]
+        hits = [j for j, s in enumerate(steps) if np.array_equal(after, before - s * g)]
+        if hits:
+            accepted.append(hits[0])
+        else:
+            assert np.array_equal(after, before)
+            accepted.append(-1)
+    return x, path, accepted, stacks
+
+
+def assert_same_line_search(x0, objective_fn, subgradient_fn, iterations, step_size):
+    ref_x, ref_path, ref_accepted = sequential_descent(
+        x0, objective_fn, subgradient_fn, iterations, step_size
+    )
+    x, path, accepted, stacks = traced_descent(
+        x0, objective_fn, subgradient_fn, iterations, step_size
+    )
+    assert accepted == ref_accepted
+    assert np.array_equal(x, ref_x)
+    assert len(path) == len(ref_path) == iterations + 1
+    assert np.max(np.abs(np.array(path) - np.array(ref_path))) <= 1e-12
+    for j, sizes in zip(accepted, stacks):
+        # Blocks of 1, 2, 4, ...: a search settled at halving j scores
+        # at most 2j + 1 candidates, and every candidate when none fits.
+        assert sizes == [1, 2, 4, 8, 15][: len(sizes)]
+        if j >= 0:
+            assert sum(sizes) <= 2 * j + 1
+        else:
+            assert sum(sizes) == _BACKTRACK_LIMIT
+    return accepted
+
+
+def test_batched_line_search_matches_the_sequential_rule_one_class():
+    # Criterion 10's rows with every fourth one flipped through the
+    # origin: the hinge optimum sits on kinks, so searches settle at
+    # every depth, from the first step to none at all.
+    rows = np.random.default_rng(10).normal(size=(60, 6)) + 2.0
+    rows[::4] *= -1.0
+    accepted = assert_same_line_search(
+        np.zeros(6),
+        lambda w: one_class_objective(w, rows, 1e-3),
+        lambda w: one_class_subgradient(w, rows, 1e-3),
+        120,
+        1.0,
+    )
+    assert 0 in accepted and max(accepted) >= 7
+    assert any(0 < j < 3 for j in accepted) and any(3 <= j < 7 for j in accepted)
+
+
+def test_batched_line_search_matches_the_sequential_rule_binary():
+    # Criterion 10's separable pair with every seventh label flipped:
+    # searches settle anywhere from the first halving to the last block,
+    # and some find no step.
+    rng = np.random.default_rng(4)
+    direction = rng.standard_normal(5)
+    direction /= np.linalg.norm(direction)
+    pos = 3.0 * direction + 0.3 * rng.standard_normal((25, 5))
+    neg = -3.0 * direction + 0.3 * rng.standard_normal((25, 5))
+    rows = np.vstack([pos, neg])
+    labels = np.concatenate([np.ones(25), -np.ones(25)])
+    labels[::7] *= -1.0
+
+    def grad(v):
+        gw, gb = binary_subgradient(v[:5], float(v[5]), rows, labels, 1e-3)
+        return np.append(gw, gb)
+
+    accepted = assert_same_line_search(
+        np.zeros(6),
+        lambda v: binary_objective(v[:, :5], v[:, 5], rows, labels, 1e-3),
+        grad,
+        120,
+        1.0,
+    )
+    assert {-1, 0} <= set(accepted) and max(accepted) >= 15
+
+
+def test_batched_line_search_when_no_step_is_accepted():
+    accepted = assert_same_line_search(
+        np.zeros(1), lambda x: x[:, 0], lambda x: np.array([-1.0]), 5, 1.0
+    )
+    assert accepted == [-1] * 5
+
+
+def test_objectives_take_a_point_or_a_stack():
+    rng = np.random.default_rng(6)
+    rows = rng.standard_normal((30, 4))
+    labels = np.sign(rng.standard_normal(30))
+    stack = rng.standard_normal((5, 5))
+    one_class = one_class_objective(stack[:, :4], rows, 1e-2)
+    binary = binary_objective(stack[:, :4], stack[:, 4], rows, labels, 1e-2)
+    assert one_class.shape == binary.shape == (5,)
+    for i, v in enumerate(stack):
+        single = one_class_objective(v[:4], rows, 1e-2)
+        assert isinstance(single, float)
+        assert abs(one_class[i] - single) <= 1e-12
+        single = binary_objective(v[:4], float(v[4]), rows, labels, 1e-2)
+        assert isinstance(single, float)
+        assert abs(binary[i] - single) <= 1e-12
 
 
 def test_one_class_subgradient_matches_finite_differences():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from corestream import (
+    CoresetTree,
+    DataBlock,
     DetectParams,
     FrameRecord,
     LinearModel,
@@ -16,10 +18,12 @@ from corestream import (
     detect,
     evaluate,
     generate_stream,
+    random_sample,
+    subsample,
     suppress,
     track_stream,
 )
-from corestream.tracking import config_from_dict
+from corestream.tracking import _Trainer, config_from_dict
 
 
 def small_config(**overrides) -> SyntheticStreamConfig:
@@ -122,6 +126,43 @@ def test_suppress_threshold_and_radius():
     # Ties break toward the lower candidate index, stably.
     even = np.array([[0.0, 0.0], [50.0, 0.0]])
     assert suppress(even, np.array([2.0, 2.0]), threshold=0.0, radius=5.0) == [0, 1]
+
+
+def looped_suppress(positions, scores, threshold, radius):
+    """Reference NMS: one distance per (candidate, keeper) pair."""
+    order = np.argsort(-scores, kind="stable")
+    kept = []
+    for idx in order:
+        if scores[idx] < threshold:
+            continue
+        pos = positions[idx]
+        if any(float(np.linalg.norm(pos - positions[k])) < radius for k in kept):
+            continue
+        kept.append(int(idx))
+    return kept
+
+
+def test_suppress_matches_the_pairwise_loop():
+    rng = np.random.default_rng(12)
+    for frame in range(200):
+        m = int(rng.integers(1, 13))
+        if frame % 2:
+            positions = rng.uniform(0.0, 30.0, size=(m, 2))
+            radius = float(rng.uniform(1.0, 10.0))
+        else:
+            # Integer grid, radius 5: many pairs sit exactly 5 apart
+            # (axis-aligned or 3-4-5), which the strict < must keep.
+            positions = rng.integers(0, 12, size=(m, 2)).astype(float)
+            radius = 5.0
+        # Rounded scores tie often, exercising the index tie-break.
+        scores = np.round(rng.normal(size=m), 1)
+        threshold = float(rng.normal()) if frame % 3 else -np.inf
+        assert suppress(positions, scores, threshold, radius) == looped_suppress(
+            positions, scores, threshold, radius
+        )
+    # Both runners-up sit exactly radius from the winner and stay kept.
+    edge = np.array([[0.0, 0.0], [3.0, 4.0], [-5.0, 0.0]])
+    assert suppress(edge, np.array([3.0, 2.0, 1.0]), 0.0, 5.0) == [0, 1, 2]
 
 
 def test_detect_returns_best_survivor_or_none():
@@ -264,3 +305,31 @@ def test_evaluate_counts_post_bootstrap_correctness():
         records=records, bootstrap_frames=10, sampler="hierarchical", success_rate=0.0
     )
     assert evaluate(only_bootstrap) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["subsample", "random"])
+def test_flat_baseline_sample_copies_only_the_rows_it_keeps(mode, monkeypatch):
+    n, dim, seed = 8, 5, 3
+    rng = np.random.default_rng(0)
+    history = [rng.normal(size=dim) for _ in range(10 * n + 3)]
+    whole = DataBlock(np.vstack(history))
+    if mode == "subsample":
+        expected = subsample(whole, n)
+    else:
+        draw_seed = int(np.random.SeedSequence((seed, 0)).generate_state(1)[0])
+        expected = random_sample(whole, n, draw_seed)
+
+    built = []
+    original = DataBlock.__post_init__
+
+    def spy(self):
+        original(self)
+        built.append(self.rows)
+
+    monkeypatch.setattr(DataBlock, "__post_init__", spy)
+    trainer = _Trainer(mode, CoresetTree(n, dim), history, TrainParams(), seed)
+    sample = trainer.sample()
+    assert built and max(built) <= n
+    assert np.array_equal(sample.rows.values, expected.rows.values)
+    assert sample.tags == expected.tags
+    assert (sample.n, sample.points_seen) == (expected.n, expected.points_seen)
