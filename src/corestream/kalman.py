@@ -54,15 +54,24 @@ def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} entries must be finite")
     if float(np.max(np.abs(m - m.T))) > _SYM_TOL:
         raise ValueError(f"{name} must be symmetric within {_SYM_TOL}")
-    eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
+    _check_psd((m + m.T) / 2.0, name)
+    return m
+
+
+def _check_psd(m: np.ndarray, name: str) -> None:
+    eigs = np.linalg.eigvalsh(m)
     if float(eigs[0]) < -_SYM_TOL:
         raise ValueError(f"{name} must be positive semidefinite, min eig {eigs[0]:.3e}")
-    return m
 
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
-    """Filter state: mean x = (px, py, vx, vy) and covariance P."""
+    """Filter state: mean x = (px, py, vx, vy) and covariance P.
+
+    The constructor checks and copies its input.  The filter's own
+    states come from _trusted, which keeps the finite and PSD checks
+    but skips the copy and the symmetry check that _sym makes exact.
+    """
 
     x: np.ndarray
     P: np.ndarray
@@ -79,6 +88,19 @@ class KalmanState:
         p.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "P", p)
+
+    @classmethod
+    def _trusted(cls, x: np.ndarray, p: np.ndarray) -> "KalmanState":
+        """Wrap a fresh mean and an exactly symmetric covariance."""
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+            raise ValueError("state mean and covariance must be finite")
+        _check_psd(p, "state covariance")
+        x.setflags(write=False)
+        p.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "x", x)
+        object.__setattr__(state, "P", p)
+        return state
 
     @property
     def position(self) -> np.ndarray:
@@ -119,7 +141,7 @@ def kalman_predict(state: KalmanState, noise: NoiseParams, dt: float = 1.0) -> K
     f = transition_matrix(dt)
     x = f @ state.x
     p = _sym(f @ state.P @ f.T + noise.Q)
-    return KalmanState(x=x, P=p)
+    return KalmanState._trusted(x, p)
 
 
 def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> KalmanState:
@@ -140,7 +162,7 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
     x = state.x + gain @ innovation
     ikh = np.eye(STATE_DIM) - gain @ _H
     p = _sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T)
-    return KalmanState(x=x, P=p)
+    return KalmanState._trusted(x, p)
 
 
 def _forward_pass(

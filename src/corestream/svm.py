@@ -159,9 +159,17 @@ def monotone_descent(
     their k objective values.  The candidates are scored in blocks of
     1, 2, 4, ... consecutive halvings, one objective_fn call per block,
     and the first qualifying candidate of the first block that holds
-    one is taken, which is the step the one-at-a-time search takes.  A
-    search settled at halving j thus scores at most 2j + 1 candidates;
-    one whose first step is accepted scores one.
+    one is taken, which is the step the one-at-a-time search takes.
+
+    While x has not moved, g is the same, so subgradient_fn is called
+    once per iterate, not once per iteration.  A search that finds no
+    step has rejected every step down to its last one, so the next
+    search from the same x starts at its first halving strictly below
+    that step.  This is exact for a convex objective: along the line
+    phi(a) = f(x - a * g), phi(a0) > phi(0) with a0 > 0 gives phi(a) >
+    phi(0) for all a >= a0 (Boyd & Vandenberghe, Convex Optimization,
+    3.1).  A search settled at halving j scores at most 2j + 1
+    candidates; after a full stall, the next usually scores one.
 
     Returns the final iterate and the objective value before the first
     step and after each iteration.
@@ -169,10 +177,12 @@ def monotone_descent(
     x = np.array(x0, dtype=float)
     path = [float(objective_fn(x[None, :])[0])]
     halvings = np.ldexp(1.0, -np.arange(_BACKTRACK_LIMIT))
+    g, rejected = None, np.inf
     for t in range(iterations):
-        g = subgradient_fn(x)
+        if g is None:
+            g = subgradient_fn(x)
         steps = (step_size / (t + 1.0)) * halvings
-        start, size = 0, 1
+        start, size = int(np.count_nonzero(steps >= rejected)), 1
         while start < _BACKTRACK_LIMIT:
             candidates = x - steps[start : start + size, None] * g
             values = objective_fn(candidates)
@@ -181,11 +191,13 @@ def monotone_descent(
                 j = int(descends.argmax())
                 x = candidates[j]
                 path.append(float(values[j]))
+                g, rejected = None, np.inf
                 break
             start += size
             size *= 2
         else:
             path.append(path[-1])
+            rejected = min(rejected, steps[-1])
     return x, path
 
 

@@ -108,6 +108,65 @@ def test_update_input_validation():
         kalman_update(state, np.array([1.0, np.inf]), noise)
 
 
+def test_filter_states_keep_the_finite_and_psd_checks():
+    with pytest.raises(ValueError, match="finite"):
+        KalmanState._trusted(np.array([0.0, np.nan, 0.0, 0.0]), np.eye(4))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        KalmanState._trusted(np.zeros(4), -np.eye(4))
+    # 1e308 * I is a valid covariance, but the public constructor's
+    # symmetrisation overflows on it, so the filter's own constructor
+    # builds the input.  8e307 with position-velocity correlation passes
+    # the public checks.  Either way predict's f P f^T overflows.
+    corr = np.eye(4) + 0.5 * (np.eye(4, k=2) + np.eye(4, k=-2))
+    states = [
+        KalmanState._trusted(np.zeros(4), 1e308 * np.eye(4)),
+        KalmanState(x=np.zeros(4), P=8e307 * corr),
+    ]
+    for state in states:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                kalman_predict(state, NoiseParams.default())
+
+
+def test_filter_states_are_read_only():
+    state = KalmanState(x=np.array([1.0, 2.0, 0.5, -0.5]), P=np.eye(4))
+    noise = NoiseParams.default()
+    ahead = kalman_predict(state, noise)
+    updated = kalman_update(ahead, np.array([1.4, 1.6]), noise)
+    for built in (ahead, updated):
+        for array in (built.x, built.P):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 9.0
+
+
+def test_filter_states_match_the_validating_constructor_bit_for_bit():
+    # The filter's steps as written with the public constructor, which
+    # re-validates and copies every state.
+    f, h = transition_matrix(1.0), observation_matrix()
+
+    def checked_predict(state, noise):
+        return KalmanState(x=f @ state.x, P=_sym(f @ state.P @ f.T + noise.Q))
+
+    def checked_update(state, z, noise):
+        s = h @ state.P @ h.T + noise.R
+        gain = np.linalg.solve(s.T, (h @ state.P.T)).T
+        ikh = np.eye(4) - gain @ h
+        return KalmanState(
+            x=state.x + gain @ (z - h @ state.x),
+            P=_sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T),
+        )
+
+    _, zs = cv_track(21, seed=12)
+    noise = em_fit(zs, iterations=5)
+    fast = slow = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
+    for z in zs[1:]:
+        fast, slow = kalman_predict(fast, noise), checked_predict(slow, noise)
+        assert np.array_equal(fast.x, slow.x) and np.array_equal(fast.P, slow.P)
+        fast, slow = kalman_update(fast, z, noise), checked_update(slow, z, noise)
+        assert np.array_equal(fast.x, slow.x) and np.array_equal(fast.P, slow.P)
+
+
 def test_em_fit_input_validation():
     with pytest.raises(ValueError):
         em_fit(np.ones((3, 2)))

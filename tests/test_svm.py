@@ -123,54 +123,79 @@ def sequential_descent(x0, objective_fn, subgradient_fn, iterations, step_size):
 
 def traced_descent(x0, objective_fn, subgradient_fn, iterations, step_size):
     """monotone_descent plus, per iteration, the accepted halving index
-    (read off the iterates) and the sizes of the stacks it scored."""
-    iterates, grads, stacks = [], [], []
+    and the search's first halving and block sizes.
+
+    Iterations are read back from path and from the iterates: each
+    scored block must be exactly the candidates x - steps[j] * g for
+    consecutive halvings j, with g the subgradient at the iterate the
+    search starts from.  A search ends at the first block holding a
+    value <= path[t], which must be the accepted value path[t + 1], or
+    after the last halving, which leaves x and the path where they were.
+    """
+    blocks = []
 
     def obj(stack):
-        if grads:
-            stacks[-1].append(stack.shape[0])
-        return objective_fn(stack)
+        values = objective_fn(stack)
+        blocks.append((stack.copy(), np.array(values)))
+        return values
 
-    def grad(x):
-        iterates.append(x.copy())
-        grads.append(subgradient_fn(x))
-        stacks.append([])
-        return grads[-1]
-
-    x, path = monotone_descent(x0, obj, grad, iterations, step_size)
-    iterates.append(x)
-    accepted = []
-    for t, g in enumerate(grads):
-        before, after = iterates[t], iterates[t + 1]
+    x, path = monotone_descent(x0, obj, subgradient_fn, iterations, step_size)
+    assert np.array_equal(blocks[0][0], np.array(x0, dtype=float)[None, :])
+    queue = blocks[1:]
+    at = np.array(x0, dtype=float)
+    accepted, searches = [], []
+    for t in range(iterations):
+        g = subgradient_fn(at)
         steps = [step_size / (t + 1.0) * 0.5**j for j in range(_BACKTRACK_LIMIT)]
-        hits = [j for j, s in enumerate(steps) if np.array_equal(after, before - s * g)]
-        if hits:
-            accepted.append(hits[0])
-        else:
-            assert np.array_equal(after, before)
-            accepted.append(-1)
-    return x, path, accepted, stacks
+        firsts = [
+            j for j, s in enumerate(steps) if queue and np.array_equal(queue[0][0][0], at - s * g)
+        ]
+        start = firsts[0] if firsts else _BACKTRACK_LIMIT
+        first, sizes, hit = start, [], -1
+        while start < _BACKTRACK_LIMIT and hit < 0:
+            stack, values = queue.pop(0)
+            expected = at - np.array(steps[start : start + len(stack)])[:, None] * g
+            assert np.array_equal(stack, expected)
+            descends = values <= path[t]
+            if descends.any():
+                k = int(descends.argmax())
+                hit, at = start + k, stack[k]
+                assert path[t + 1] == values[k]
+            sizes.append(len(stack))
+            start += len(stack)
+        if hit < 0:
+            assert path[t + 1] == path[t]
+        accepted.append(hit)
+        searches.append((first, sizes))
+    assert not queue and np.array_equal(at, x)
+    return x, path, accepted, searches
+
+
+def full_search_candidates(j):
+    """Candidates a search from halving 0 scores before settling at
+    halving j (-1: none fits) in blocks of 1, 2, 4, ..."""
+    if j < 0:
+        return _BACKTRACK_LIMIT
+    return min(2 ** (j + 1).bit_length() - 1, _BACKTRACK_LIMIT)
 
 
 def assert_same_line_search(x0, objective_fn, subgradient_fn, iterations, step_size):
     ref_x, ref_path, ref_accepted = sequential_descent(
         x0, objective_fn, subgradient_fn, iterations, step_size
     )
-    x, path, accepted, stacks = traced_descent(
+    x, path, accepted, searches = traced_descent(
         x0, objective_fn, subgradient_fn, iterations, step_size
     )
     assert accepted == ref_accepted
     assert np.array_equal(x, ref_x)
     assert len(path) == len(ref_path) == iterations + 1
     assert np.max(np.abs(np.array(path) - np.array(ref_path))) <= 1e-12
-    for j, sizes in zip(accepted, stacks):
-        # Blocks of 1, 2, 4, ...: a search settled at halving j scores
-        # at most 2j + 1 candidates, and every candidate when none fits.
-        assert sizes == [1, 2, 4, 8, 15][: len(sizes)]
-        if j >= 0:
-            assert sum(sizes) <= 2 * j + 1
-        else:
-            assert sum(sizes) == _BACKTRACK_LIMIT
+    for j, (first, sizes) in zip(accepted, searches):
+        # Blocks double from the search's first halving, clipped at the
+        # limit, and no search scores more than one from halving 0 does.
+        for k, size in enumerate(sizes):
+            assert size == min(2**k, _BACKTRACK_LIMIT - first - sum(sizes[:k]))
+        assert sum(sizes) <= full_search_candidates(j)
     return accepted
 
 
@@ -322,3 +347,92 @@ def test_train_binary_dimension_mismatch():
         train_binary(
             as_sample(np.ones((2, 3))), as_sample(np.ones((2, 4))), TrainParams()
         )
+
+
+def line_search_problem(name):
+    """A line-search problem: (x0, objective, subgradient, iterations).
+
+    one_class, binary and no_descent are the problems of the three tests
+    above, no_descent run for 120 iterations; steep makes searches that
+    found no step give way to moves.
+    """
+    if name == "one_class":
+        rows = np.random.default_rng(10).normal(size=(60, 6)) + 2.0
+        rows[::4] *= -1.0
+        return (
+            np.zeros(6),
+            lambda w: one_class_objective(w, rows, 1e-3),
+            lambda w: one_class_subgradient(w, rows, 1e-3),
+            120,
+        )
+    if name == "binary":
+        rng = np.random.default_rng(4)
+        direction = rng.standard_normal(5)
+        direction /= np.linalg.norm(direction)
+        pos = 3.0 * direction + 0.3 * rng.standard_normal((25, 5))
+        neg = -3.0 * direction + 0.3 * rng.standard_normal((25, 5))
+        rows = np.vstack([pos, neg])
+        labels = np.concatenate([np.ones(25), -np.ones(25)])
+        labels[::7] *= -1.0
+
+        def grad(v):
+            gw, gb = binary_subgradient(v[:5], float(v[5]), rows, labels, 1e-3)
+            return np.append(gw, gb)
+
+        return (
+            np.zeros(6),
+            lambda v: binary_objective(v[:, :5], v[:, 5], rows, labels, 1e-3),
+            grad,
+            120,
+        )
+    if name == "steep":
+        # Curvature 3 * 2**30: only steps below about 2**-30 descend, so
+        # the first searches find none, a later one moves from below the
+        # last rejected step, and as the 1/t decay shrinks the steps,
+        # searches settle at shallower halvings again.
+        curvature = np.array([3.0 * 2**30, 3.0 * 2**30 / 7.0])
+        return (
+            np.array([1e-5, -2e-5]),
+            lambda x: 0.5 * (x * x) @ curvature,
+            lambda x: curvature * x,
+            120,
+        )
+    return np.zeros(1), lambda x: x[:, 0], lambda x: np.array([-1.0]), 120
+
+
+def test_batched_line_search_matches_the_sequential_rule_after_stalls():
+    x0, objective_fn, subgradient_fn, iterations = line_search_problem("steep")
+    accepted = assert_same_line_search(x0, objective_fn, subgradient_fn, iterations, 1.0)
+    stall_then_move = [t for t in range(1, iterations) if accepted[t - 1] < 0 <= accepted[t]]
+    assert stall_then_move and min(accepted[stall_then_move[0] :]) < 28
+
+
+@pytest.mark.parametrize("name", ["one_class", "binary", "steep", "no_descent"])
+def test_line_search_skips_work_that_cannot_change_the_step(name):
+    x0, objective_fn, subgradient_fn, iterations = line_search_problem(name)
+    _, _, ref_accepted = sequential_descent(x0, objective_fn, subgradient_fn, iterations, 1.0)
+    grad_at, scored = [], []
+
+    def obj(stack):
+        scored.append(stack.shape[0])
+        return objective_fn(stack)
+
+    def grad(x):
+        grad_at.append(x.copy())
+        return subgradient_fn(x)
+
+    monotone_descent(x0, obj, grad, iterations, 1.0)
+    # One subgradient per distinct iterate a search starts from: x0 and
+    # every move except one made by the last iteration.
+    moves = sum(j >= 0 for j in ref_accepted[:-1])
+    assert len(grad_at) == 1 + moves
+    assert not any(np.array_equal(a, b) for a, b in zip(grad_at, grad_at[1:]))
+    # No search scores more than a search from the first halving does.
+    from_zero = 1 + sum(full_search_candidates(j) for j in ref_accepted)
+    assert sum(scored) <= from_zero
+    if name == "binary":
+        assert ref_accepted.count(-1) == 16 and len(grad_at) == 105
+    if name == "no_descent":
+        # 30 candidates for the first stall, then one per iteration,
+        # where a search from the first halving scores all 30 each time.
+        assert from_zero == 3601 and sum(scored) <= 150
