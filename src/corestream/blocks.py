@@ -30,8 +30,10 @@ ENERGY_FLOOR = 1e-12
 class DataBlock:
     """A dense rows x dim matrix of feature vectors.
 
-    The stored array is a private, read-only copy, so a block can be
-    shared across threads and snapshots without defensive copying.
+    The constructor checks its input and stores a private, read-only
+    copy, so a block can be shared across threads and snapshots without
+    defensive copying.  Blocks the library builds itself come from
+    _trusted, which wraps the fresh array it is given instead of a copy.
     """
 
     values: np.ndarray
@@ -46,6 +48,14 @@ class DataBlock:
             raise ValueError("matrix entries must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "DataBlock":
+        """Wrap a fresh 2-d float array built from checked rows, read-only."""
+        values.setflags(write=False)
+        block = object.__new__(cls)
+        object.__setattr__(block, "values", values)
+        return block
 
     @property
     def rows(self) -> int:
@@ -127,6 +137,7 @@ def svd_truncate(values: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     Returns (rows, tail) where row i equals sigma_i * v_i with the sign
     of each direction fixed so its largest-magnitude entry is positive,
     and tail is the sum of squared singular values beyond the first n.
+    Rows that overflow raise ValueError, so callers may trust the result.
     """
     _, s, vt = np.linalg.svd(values, full_matrices=False)
     kept = vt[: min(n, s.shape[0])].copy()
@@ -134,6 +145,9 @@ def svd_truncate(values: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     signs = np.sign(kept[np.arange(kept.shape[0]), peak])
     signs[signs == 0.0] = 1.0
     rows = (s[: kept.shape[0]] * signs)[:, None] * kept
+    # Finite input can still overflow when its energy nears 1e308.
+    if not np.isfinite(rows).all():
+        raise ValueError("singular rows overflowed")
     tail = float(np.sum(s[n:] ** 2))
     return rows, tail
 
@@ -150,7 +164,7 @@ def reduce_block(block: DataBlock, n: int) -> CoresetBlock:
     if n < 1:
         raise ValueError(f"row budget n must be >= 1, got {n}")
     rows, tail = svd_truncate(block.values, n)
-    return CoresetBlock(block=DataBlock(rows), c=tail, source_rows=block.rows)
+    return CoresetBlock(block=DataBlock._trusted(rows), c=tail, source_rows=block.rows)
 
 
 def concat_blocks(a: CoresetBlock, b: CoresetBlock) -> CoresetBlock:
@@ -161,7 +175,7 @@ def concat_blocks(a: CoresetBlock, b: CoresetBlock) -> CoresetBlock:
         )
     stacked = np.vstack([a.block.values, b.block.values])
     return CoresetBlock(
-        block=DataBlock(stacked),
+        block=DataBlock._trusted(stacked),
         c=a.c + b.c,
         source_rows=a.source_rows + b.source_rows,
     )

@@ -160,7 +160,7 @@ def _block_to_dict(cb: CoresetBlock) -> dict:
         "dim": cb.block.dim,
         "c": cb.c,
         "source_rows": cb.source_rows,
-        "values": [[float(x) for x in row] for row in cb.block.values],
+        "values": cb.block.values.tolist(),
     }
 
 
@@ -216,7 +216,7 @@ def write_snapshot(path: str, view: TreeView) -> None:
             }
             for node in view.nodes
         ],
-        "pending": [[float(x) for x in row] for row in view.pending],
+        "pending": np.asarray(view.pending, dtype=float).tolist(),
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2)

@@ -52,9 +52,11 @@ def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be {size}x{size}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} entries must be finite")
-    if float(np.max(np.abs(m - m.T))) > _SYM_TOL:
+    # Halving first keeps entries near the float limit from overflowing.
+    half = m / 2.0
+    if float(np.max(np.abs(half - half.T))) > _SYM_TOL / 2.0:
         raise ValueError(f"{name} must be symmetric within {_SYM_TOL}")
-    _check_psd((m + m.T) / 2.0, name)
+    _check_psd(half + half.T, name)
     return m
 
 

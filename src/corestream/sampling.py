@@ -10,6 +10,7 @@ comparison and use the same SampleSet container.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -67,27 +68,24 @@ def hierarchical_sample(view: TreeView) -> SampleSet:
     """
     if not view.nodes and view.pending.shape[0] == 0:
         raise ValueError("cannot sample an empty tree")
-    limit = 2 * view.n
-    picked: list[np.ndarray] = []
-    tags: list[RowTag] = []
-    for i in range(view.pending.shape[0]):
-        picked.append(view.pending[i])
-        tags.append(RowTag(level=RAW_LEVEL, row=i))
-    if view.nodes:
-        top_level = view.nodes[-1].level
-        for node in reversed(view.nodes):
-            gap = node.level - top_level
-            quota = max(1, view.n >> gap)
-            budget = limit - len(picked)
-            if budget <= 0:
-                break
-            take = min(quota, node.summary.block.rows, budget)
-            values = node.summary.block.values
-            for j in range(take):
-                picked.append(values[j])
-                tags.append(RowTag(level=node.level, row=j))
+    # A view can be built by hand, so its pending rows are outside input.
+    if not np.isfinite(view.pending).all():
+        raise ValueError("pending rows must be finite")
+    parts = [view.pending]
+    spans = [(RAW_LEVEL, view.pending.shape[0])]
+    budget = 2 * view.n - view.pending.shape[0]
+    top_level = view.nodes[-1].level if view.nodes else 0
+    for node in reversed(view.nodes):
+        if budget <= 0:
+            break
+        quota = max(1, view.n >> (node.level - top_level))
+        take = min(quota, node.summary.block.rows, budget)
+        parts.append(node.summary.block.values[:take])
+        spans.append((node.level, take))
+        budget -= take
+    tags = chain.from_iterable(map(RowTag, repeat(lv, k), range(k)) for lv, k in spans)
     return SampleSet(
-        rows=DataBlock(np.vstack(picked)),
+        rows=DataBlock._trusted(np.concatenate(parts, dtype=float)),
         tags=tuple(tags),
         n=view.n,
         points_seen=view.points_seen,

@@ -336,7 +336,7 @@ def _as_directions(sample: SampleSet) -> SampleSet:
         return sample
     units = values[keep] / norms[keep, None]
     return SampleSet(
-        rows=DataBlock(units),
+        rows=DataBlock._trusted(units),
         tags=tuple(sample.tags[i] for i in keep),
         n=sample.n,
         points_seen=sample.points_seen,

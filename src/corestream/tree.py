@@ -87,7 +87,7 @@ def _merge(older: CoresetBlock, newer: CoresetBlock, n: int) -> CoresetBlock:
     """
     cat = concat_blocks(older, newer)
     rows, tail = svd_truncate(cat.block.values, n)
-    return CoresetBlock(block=DataBlock(rows), c=cat.c + tail, source_rows=cat.source_rows)
+    return CoresetBlock(block=DataBlock._trusted(rows), c=cat.c + tail, source_rows=cat.source_rows)
 
 
 class CoresetTree:
@@ -144,7 +144,7 @@ class CoresetTree:
         row = np.asarray(row, dtype=float)
         if row.shape != (self.dim,):
             raise ValueError(f"expected a row of shape ({self.dim},), got {row.shape}")
-        if not np.all(np.isfinite(row)):
+        if not np.isfinite(row).all():
             raise ValueError("row entries must be finite")
         with self._lock:
             start = time.perf_counter()
@@ -164,7 +164,7 @@ class CoresetTree:
     def _absorb_leaf(self) -> tuple[int, ...]:
         first = self._points_seen - self.n
         leaf = CoresetBlock(
-            block=DataBlock(np.vstack(self._pending)),
+            block=DataBlock._trusted(np.vstack(self._pending)),
             c=0.0,
             source_rows=self.n,
         )
@@ -292,6 +292,8 @@ def validate_view(view: TreeView) -> None:
             raise ValueError("node constant must be >= 0")
     if view.pending.ndim != 2 or view.pending.shape[1] != view.dim:
         raise ValueError(f"pending has shape {view.pending.shape}, expected (p, {view.dim})")
+    if not np.isfinite(view.pending).all():
+        raise ValueError("pending rows must be finite")
     if view.pending.shape[0] >= view.n:
         raise ValueError("pending buffer must stay below one leaf")
     if covered + view.pending.shape[0] != view.points_seen:

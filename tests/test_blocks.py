@@ -183,6 +183,25 @@ def test_concat_blocks_adds_everything():
     assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1.0)
 
 
+def test_reduced_and_concatenated_blocks_are_read_only():
+    rng = np.random.default_rng(6)
+    a = reduce_block(DataBlock(rng.standard_normal((6, 4))), 3)
+    b = reduce_block(DataBlock(rng.standard_normal((5, 4))), 3)
+    for block in (a.block, b.block, concat_blocks(a, b).block):
+        assert not block.values.flags.writeable
+        with pytest.raises(ValueError):
+            block.values[0, 0] = 1.0
+
+
+def test_svd_truncate_refuses_rows_that_overflow():
+    huge = np.full((4, 2), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflow"):
+            svd_truncate(huge, 2)
+        with pytest.raises(ValueError, match="overflow"):
+            reduce_block(DataBlock(huge), 2)
+
+
 def test_concat_blocks_dimension_mismatch():
     a = CoresetBlock(block=DataBlock(np.ones((2, 3))), c=0.0, source_rows=2)
     b = CoresetBlock(block=DataBlock(np.ones((2, 4))), c=0.0, source_rows=2)

@@ -228,6 +228,54 @@ def test_snapshot_reader_rejects_pending_of_the_wrong_dim(tmp_path):
         io.read_snapshot(tampered_snapshot(tmp_path, tamper))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_snapshot_reader_rejects_non_finite_pending_rows(tmp_path, value):
+    def tamper(doc):
+        doc["pending"][0][0] = value
+
+    with pytest.raises(FormatError, match="pending rows must be finite"):
+        io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
+def test_snapshot_and_block_files_are_indented_json(tmp_path):
+    import json
+
+    def block_doc(cb):
+        return {
+            "rows": cb.block.rows,
+            "dim": cb.block.dim,
+            "c": cb.c,
+            "source_rows": cb.source_rows,
+            "values": [[float(x) for x in row] for row in cb.block.values],
+        }
+
+    view = grown_tree(7 * 4 + 3, 4, dim=5).snapshot()
+    doc = {
+        "format": "coreset-tree-snapshot",
+        "version": 1,
+        "n": view.n,
+        "dim": view.dim,
+        "points_seen": view.points_seen,
+        "leaves_seen": view.leaves_seen,
+        "merge_count": view.merge_count,
+        "max_live_nodes": view.max_live_nodes,
+        "nodes": [
+            {"level": node.level, "span": list(node.span), **block_doc(node.summary)}
+            for node in view.nodes
+        ],
+        "pending": [[float(x) for x in row] for row in view.pending],
+    }
+    path = tmp_path / "snap.json"
+    io.write_snapshot(str(path), view)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    summary = view.nodes[0].summary
+    path = tmp_path / "block.json"
+    io.write_coreset(str(path), summary)
+    want = {"format": "coreset-block", "version": 1, **block_doc(summary)}
+    assert path.read_text() == json.dumps(want, indent=2) + "\n"
+
+
 def test_telemetry_csv_shape_and_totals(tmp_path):
     path = tmp_path / "telemetry.csv"
     tree = grown_tree(17, 3)

@@ -72,6 +72,24 @@ def test_noise_params_validation_and_default():
     assert default.R.shape == (2, 2)
 
 
+def test_public_constructors_accept_covariances_near_the_float_limit():
+    huge = 1e308 * np.eye(4)
+    state = KalmanState(x=np.zeros(4), P=huge)
+    assert np.array_equal(state.P, huge)
+    noise = NoiseParams(Q=huge, R=1e308 * np.eye(2))
+    assert np.array_equal(noise.Q, huge)
+    assert np.array_equal(noise.R, 1e308 * np.eye(2))
+
+
+def test_public_constructors_refuse_huge_asymmetric_matrices():
+    asym = 1e308 * np.eye(4)
+    asym[0, 1], asym[1, 0] = 1e308, -1e308
+    with pytest.raises(ValueError, match="symmetric"):
+        KalmanState(x=np.zeros(4), P=asym)
+    with pytest.raises(ValueError, match="symmetric"):
+        NoiseParams(Q=asym, R=np.eye(2))
+
+
 def test_predict_moves_at_constant_velocity_and_inflates_covariance():
     state = KalmanState(x=np.array([0.0, 0.0, 1.0, 2.0]), P=np.eye(4))
     noise = NoiseParams(Q=0.1 * np.eye(4), R=np.eye(2))

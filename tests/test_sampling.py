@@ -1,5 +1,7 @@
 """Tests for the bounded training-set builders."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,68 @@ def test_hierarchical_bound_and_top_node_property(points, n, seed):
         want = {(top.level, j) for j in range(top.summary.block.rows)}
         got = {(t.level, t.row) for t in sample.tags}
         assert want <= got
+
+
+def row_by_row_hierarchical_sample(view):
+    """The sampler's rule written one row at a time: pending rows, then
+    newest node to oldest, max(1, n >> gap) rows per node, capped at 2n."""
+    limit = 2 * view.n
+    picked, tags = [], []
+    for i in range(view.pending.shape[0]):
+        picked.append(view.pending[i])
+        tags.append(RowTag(level=RAW_LEVEL, row=i))
+    if view.nodes:
+        top_level = view.nodes[-1].level
+        for node in reversed(view.nodes):
+            budget = limit - len(picked)
+            if budget <= 0:
+                break
+            quota = max(1, view.n >> (node.level - top_level))
+            values = node.summary.block.values
+            for j in range(min(quota, values.shape[0], budget)):
+                picked.append(values[j])
+                tags.append(RowTag(level=node.level, row=j))
+    return np.vstack(picked), tuple(tags)
+
+
+@pytest.mark.parametrize(
+    "n, dim, points, cap_binds",
+    [
+        (4, 3, 255 * 4 + 3, True),  # eight nodes and three pending rows
+        (5, 7, 40 * 5 + 4, False),  # n not a power of two
+        (6, 2, 31 * 6, False),  # ends with no pending rows
+        (3, 40, 22 * 3 + 1, False),  # dim > n, leaves hold n rows
+        (8, 3, 13 * 8 + 5, False),  # nodes hold dim < n rows
+        (16, 16, 9 * 16 + 7, False),
+    ],
+)
+def test_hierarchical_matches_the_row_by_row_rule(n, dim, points, cap_binds):
+    rng = np.random.default_rng(n * 100 + dim)
+    tree = CoresetTree(n, dim)
+    capped = with_pending = without_pending = 0
+    for row in rng.standard_normal((points, dim)):
+        tree.push_point(row)
+        view = tree.snapshot()
+        want_rows, want_tags = row_by_row_hierarchical_sample(view)
+        sample = hierarchical_sample(view)
+        assert sample.rows.values.tobytes() == want_rows.tobytes()
+        assert sample.rows.values.shape == want_rows.shape
+        assert sample.tags == want_tags
+        assert (sample.n, sample.points_seen) == (n, view.points_seen)
+        capped += want_rows.shape[0] == 2 * n
+        with_pending += view.pending.shape[0] > 0
+        without_pending += view.pending.shape[0] == 0 and len(view.nodes) > 0
+    assert with_pending and without_pending
+    assert capped or not cap_binds
+
+
+def test_hierarchical_refuses_non_finite_pending_rows_of_a_hand_built_view():
+    view = grown_tree(3 * 4 + 2, 4).snapshot()
+    for bad in (np.nan, np.inf):
+        pending = np.array(view.pending)
+        pending[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hierarchical_sample(replace(view, pending=pending))
 
 
 def test_root_sample_is_the_collapse():

@@ -11,6 +11,7 @@ from corestream import (
     TreeView,
     collapse,
     dist_sq,
+    hierarchical_sample,
     random_orthonormal,
     validate_view,
 )
@@ -49,6 +50,51 @@ def test_push_point_validation():
     with pytest.raises(ValueError):
         tree.push_point(np.array([1.0, np.nan, 0.0]))
     assert tree.points_seen == 0
+
+
+def test_a_merge_that_overflows_raises():
+    # Every entry is finite, but the merged leaves' top singular value
+    # lies beyond the float range.
+    tree = CoresetTree(2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            tree.push_point(np.full(2, 1e308))
+        with pytest.raises(ValueError, match="overflow"):
+            tree.push_point(np.full(2, 1e308))
+
+
+def test_the_tree_builds_no_publicly_validated_blocks(monkeypatch):
+    # Leaves, merges and samples wrap arrays the library built from rows
+    # push_point already checked; only the public constructor validates.
+    calls = []
+    validate = DataBlock.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(DataBlock, "__post_init__", counting)
+    tree = CoresetTree(64, 16)
+    push_stream(tree, 4106, seed=5)
+    assert (tree.leaves_seen, tree.merge_count) == (64, 63)
+    assert calls == []
+    hierarchical_sample(tree.snapshot())
+    assert calls == []
+    DataBlock(np.ones((2, 2)))
+    assert len(calls) == 1
+
+
+def test_leaf_merge_and_sample_arrays_are_read_only():
+    tree = CoresetTree(4, 3)
+    push_stream(tree, 3 * 4 + 2, seed=3)
+    view = tree.snapshot()
+    assert [node.level for node in view.nodes] == [1, 0]
+    arrays = [node.summary.block.values for node in view.nodes]
+    arrays.append(hierarchical_sample(view).rows.values)
+    for values in arrays:
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
 
 
 def test_leaf_forms_at_exactly_n_rows():
