@@ -14,6 +14,7 @@ import csv
 import json
 import secrets
 import sys
+import time
 from dataclasses import replace
 from importlib import resources
 
@@ -108,10 +109,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_tree_build(args: argparse.Namespace) -> int:
     block = io.read_features(args.infile)
     tree = CoresetTree(args.n, block.dim)
+    records = []
     for row in block.values:
-        tree.push_point(row)
+        start = time.perf_counter()
+        report = tree.push_point(row)
+        seconds = time.perf_counter() - start
+        records.append(
+            (len(report.merged_levels), tree.merge_count, tree.live_node_count(), seconds)
+        )
     io.write_snapshot(args.snapshot_out, tree.snapshot())
-    io.write_telemetry(args.telemetry_out, tree.telemetry())
+    io.write_telemetry(args.telemetry_out, records)
     print(f"points: {tree.points_seen}")
     print(f"leaves: {tree.leaves_seen}")
     print(f"merges: {tree.merge_count}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .blocks import CoresetBlock, DataBlock
 from .sampling import SampleSet
-from .tree import CoresetNode, StreamStats, TreeView, validate_view
+from .tree import CoresetNode, TreeView, validate_view
 
 MAGIC = b"CSTK"
 BINARY_VERSION = 1
@@ -263,21 +263,14 @@ def read_snapshot(path: str) -> TreeView:
     return view
 
 
-def write_telemetry(path: str, stats: StreamStats) -> None:
-    """Telemetry CSV, one record per push."""
+def write_telemetry(path: str, records: list[tuple[int, int, int, float]]) -> None:
+    """Telemetry CSV, one row per push; records holds one (merges_this_step,
+    cumulative_svd_count, live_nodes, push_time) tuple per push, in order."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TELEMETRY_COLUMNS)
-        for i in range(len(stats.merges_per_push)):
-            writer.writerow(
-                [
-                    i,
-                    stats.merges_per_push[i],
-                    stats.cumulative_svds[i],
-                    stats.live_nodes[i],
-                    repr(float(stats.push_seconds[i])),
-                ]
-            )
+        for step, (merges, cumulative, live, seconds) in enumerate(records):
+            writer.writerow([step, merges, cumulative, live, repr(float(seconds))])
 
 
 def write_sample(path: str, sample: SampleSet, mode: str) -> None:

@@ -33,6 +33,7 @@ from .svm import LinearModel, TrainParams, decisions, train_one_class
 from .tree import CoresetTree
 
 SAMPLER_MODES = ("hierarchical", "root", "random", "subsample")
+EM_ITERATIONS = 8  # sweeps per EM refit of the noise covariances
 
 
 @dataclass(frozen=True)
@@ -121,14 +122,13 @@ class DetectParams:
     """Detection-side knobs.
 
     threshold None means use the model's trained threshold.  radius
-    None means use the stream's candidate spacing.  tolerance is the
-    distance within which a chosen center still counts as correct;
-    None means half the spacing.
+    None means use the stream's candidate spacing.  A chosen center
+    counts as correct within half the spacing of the truth (see
+    FrameRecord).
     """
 
     threshold: float | None = None
     radius: float | None = None
-    tolerance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ class TrackerParams:
     n: int = 20
     sampler: str = "hierarchical"
     em_every: int = 1
-    em_iterations: int = 8
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -149,8 +148,6 @@ class TrackerParams:
             )
         if self.em_every < 1:
             raise ValueError(f"em_every must be >= 1, got {self.em_every}")
-        if self.em_iterations < 1:
-            raise ValueError(f"em_iterations must be >= 1, got {self.em_iterations}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,9 @@ class FrameRecord:
     threshold (score is then nan and the estimate coasts on the motion
     model).  model_points counts the stream rows behind the model that
     scored this frame, -1 during bootstrap, and never exceeds the frame
-    index: the scorer never saw data from its own future.
+    index: the scorer never saw data from its own future.  correct
+    holds when the chosen candidate is the true one or lies within half
+    the stream's candidate spacing of the true position.
     """
 
     index: int
@@ -410,7 +409,7 @@ def track_stream(
     train_params = train_params or TrainParams()
     dp = detect_params or DetectParams()
     radius = dp.radius if dp.radius is not None else config.spacing
-    tolerance = dp.tolerance if dp.tolerance is not None else config.spacing / 2.0
+    tolerance = config.spacing / 2.0
     n = tracker.n
 
     tree = CoresetTree(n, config.dim)
@@ -440,7 +439,7 @@ def track_stream(
     def on_leaf() -> None:
         nonlocal model, model_points, noise
         if tree.leaves_seen % tracker.em_every == 0 and len(centers) >= 4:
-            noise = em_fit(np.vstack(centers), tracker.em_iterations)
+            noise = em_fit(np.vstack(centers), EM_ITERATIONS)
         model, model_points = trainer.retrain()
 
     for frame in frames:

@@ -12,7 +12,6 @@ L - popcount(L) compressions have run.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +60,8 @@ class MergeReport:
     merged_levels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StreamStats:
-    """Per-push telemetry series, index-aligned with the pushed rows."""
-
-    merges_per_push: tuple[int, ...]
-    cumulative_svds: tuple[int, ...]
-    live_nodes: tuple[int, ...]
-    push_seconds: tuple[float, ...]
-    max_live_nodes: int
-    points_seen: int
-    leaves_seen: int
-    merge_count: int
+# Most pushes only buffer their row; they all share this frozen report.
+_NO_LEAF = MergeReport(leaf_formed=False, merged_levels=())
 
 
 def _merge(older: CoresetBlock, newer: CoresetBlock, n: int) -> CoresetBlock:
@@ -96,6 +85,9 @@ class CoresetTree:
     push_point is the only mutating operation and must be called from
     one thread at a time; snapshot() may be called concurrently from
     readers and returns a frozen copy that later pushes cannot alter.
+
+    It keeps no per-push history, so its size depends on n and dim only;
+    a per-push record is each push's MergeReport plus the counters.
     """
 
     def __init__(self, n: int, dim: int):
@@ -111,10 +103,6 @@ class CoresetTree:
         self._leaves_seen = 0
         self._merge_count = 0
         self._max_live_nodes = 0
-        self._merges_per_push: list[int] = []
-        self._cumulative_svds: list[int] = []
-        self._live_nodes: list[int] = []
-        self._push_seconds: list[float] = []
         self._lock = threading.Lock()
 
     @property
@@ -147,46 +135,45 @@ class CoresetTree:
         if not np.isfinite(row).all():
             raise ValueError("row entries must be finite")
         with self._lock:
-            start = time.perf_counter()
-            self._pending.append(row.copy())
-            self._points_seen += 1
-            leaf_formed = False
-            merged_levels: tuple[int, ...] = ()
-            if len(self._pending) == self.n:
-                leaf_formed = True
-                merged_levels = self._absorb_leaf()
-            self._merges_per_push.append(len(merged_levels))
-            self._cumulative_svds.append(self._merge_count)
-            self._live_nodes.append(len(self._stack))
-            self._push_seconds.append(time.perf_counter() - start)
-            return MergeReport(leaf_formed=leaf_formed, merged_levels=merged_levels)
+            if len(self._pending) + 1 < self.n:
+                self._pending.append(row.copy())
+                self._points_seen += 1
+                return _NO_LEAF
+            return MergeReport(leaf_formed=True, merged_levels=self._absorb_leaf(row))
 
-    def _absorb_leaf(self) -> tuple[int, ...]:
-        first = self._points_seen - self.n
+    def _absorb_leaf(self, row: np.ndarray) -> tuple[int, ...]:
+        """Form a leaf from the pending rows and row, then run its merge cascade.
+
+        Nothing is committed until every merge has succeeded, so a merge
+        that raises leaves the tree as it was before the push.
+        """
+        points = self._points_seen + 1
         leaf = CoresetBlock(
-            block=DataBlock._trusted(np.vstack(self._pending)),
+            block=DataBlock._trusted(np.vstack(self._pending + [row])),
             c=0.0,
             source_rows=self.n,
         )
-        self._pending = []
-        self._leaves_seen += 1
-        self._stack.append(CoresetNode(level=0, summary=leaf, span=(first, self._points_seen)))
-        # High-water mark includes the instant both same-level siblings
-        # coexist, which is the true memory peak of a push.
-        self._max_live_nodes = max(self._max_live_nodes, len(self._stack))
+        node = CoresetNode(level=0, summary=leaf, span=(points - self.n, points))
+        keep = len(self._stack)
         merged: list[int] = []
-        while len(self._stack) >= 2 and self._stack[-1].level == self._stack[-2].level:
-            newer = self._stack.pop()
-            older = self._stack.pop()
-            self._stack.append(
-                CoresetNode(
-                    level=older.level + 1,
-                    summary=_merge(older.summary, newer.summary, self.n),
-                    span=(older.span[0], newer.span[1]),
-                )
+        while keep and self._stack[keep - 1].level == node.level:
+            keep -= 1
+            older = self._stack[keep]
+            node = CoresetNode(
+                level=older.level + 1,
+                summary=_merge(older.summary, node.summary, self.n),
+                span=(older.span[0], node.span[1]),
             )
             merged.append(older.level)
-            self._merge_count += 1
+        # High-water mark includes the instant the new leaf sits beside
+        # its same-level sibling, which is the true memory peak of a push.
+        self._max_live_nodes = max(self._max_live_nodes, len(self._stack) + 1)
+        del self._stack[keep:]
+        self._stack.append(node)
+        self._pending = []
+        self._points_seen = points
+        self._leaves_seen += 1
+        self._merge_count += len(merged)
         return tuple(merged)
 
     def snapshot(self) -> TreeView:
@@ -211,19 +198,6 @@ class CoresetTree:
     def root_collapse(self) -> CoresetBlock:
         """Single summary of everything seen so far; the tree is unchanged."""
         return collapse(self.snapshot())
-
-    def telemetry(self) -> StreamStats:
-        with self._lock:
-            return StreamStats(
-                merges_per_push=tuple(self._merges_per_push),
-                cumulative_svds=tuple(self._cumulative_svds),
-                live_nodes=tuple(self._live_nodes),
-                push_seconds=tuple(self._push_seconds),
-                max_live_nodes=self._max_live_nodes,
-                points_seen=self._points_seen,
-                leaves_seen=self._leaves_seen,
-                merge_count=self._merge_count,
-            )
 
 
 def collapse(view: TreeView) -> CoresetBlock:

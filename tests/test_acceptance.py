@@ -141,24 +141,25 @@ def test_criterion_04_live_node_counter():
     # partners coexist) never exceeds bit_length(leaves).
     rng = np.random.default_rng(44)
     tree = CoresetTree(8, 4)
+    observed = []
     for row in rng.normal(size=(4096 * 8, 4)):
         tree.push_point(row)
-    stats = tree.telemetry()
-    live = np.array(stats.live_nodes)
+        observed.append(tree.live_node_count())
+    live = np.array(observed)
     leaves_at = np.arange(1, len(live) + 1) // 8
     pop = np.array([int(l).bit_count() for l in leaves_at])
     counter_ok = np.array_equal(live, pop)
     mask = leaves_at >= 1
     bound = np.array([int(l).bit_length() for l in leaves_at[mask]])
     running_ok = bool(np.all(np.maximum.accumulate(live)[mask] <= bound))
-    peak_ok = stats.max_live_nodes <= int(4096).bit_length()
+    peak_ok = tree.max_live_nodes <= int(4096).bit_length()
     ok = counter_ok and running_ok and peak_ok
     _report(
         4,
         "live node counter",
         ok,
         f"popcount match {counter_ok}, running bound {running_ok}, "
-        f"peak {stats.max_live_nodes} <= {int(4096).bit_length()} over 4096 leaves",
+        f"peak {tree.max_live_nodes} <= {int(4096).bit_length()} over 4096 leaves",
     )
     assert ok
 
@@ -168,14 +169,15 @@ def test_criterion_05_amortized_merge_rate():
     # per-push merge rate stays within one percent of 1/n.
     rng = np.random.default_rng(55)
     tree = CoresetTree(8, 4)
+    observed = []
     for row in rng.normal(size=(4096 * 8, 4)):
         tree.push_point(row)
-    stats = tree.telemetry()
-    cum = np.array(stats.cumulative_svds)
+        observed.append(tree.merge_count)
+    cum = np.array(observed)
     leaves_at = np.arange(1, len(cum) + 1) // 8
     expect = leaves_at - np.array([int(l).bit_count() for l in leaves_at])
     identity_ok = np.array_equal(cum, expect)
-    mean_merges = stats.merge_count / stats.points_seen
+    mean_merges = tree.merge_count / tree.points_seen
     rate_ok = mean_merges < (1.0 / 8) * 1.01
     ok = identity_ok and rate_ok
     _report(

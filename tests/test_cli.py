@@ -1,5 +1,6 @@
 """End-to-end tests of the command line, driven through subprocesses."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -131,6 +132,31 @@ def test_tree_build_reports_counter_facts(tmp_path):
     assert view.points_seen == 8 * n
     telemetry_lines = open(telemetry).read().strip().splitlines()
     assert len(telemetry_lines) == 1 + 8 * n
+
+
+def test_tree_build_telemetry_rows_are_aligned_and_consistent(tmp_path):
+    n = 4
+    pushes = 8 * n + 3
+    infile = str(tmp_path / "feat.txt")
+    io.write_features(
+        infile, DataBlock(np.random.default_rng(6).standard_normal((pushes, 3)))
+    )
+    telemetry = tmp_path / "tele.csv"
+    result = run_cli(
+        "tree-build", "--in", infile, "--n", str(n),
+        "--snapshot-out", str(tmp_path / "s.json"), "--telemetry-out", str(telemetry),
+    )
+    assert result.returncode == 0, result.stderr
+    with open(telemetry, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(io.TELEMETRY_COLUMNS)
+    body = rows[1:]
+    assert [int(r[0]) for r in body] == list(range(pushes))
+    running = np.cumsum([int(r[1]) for r in body])
+    assert list(running) == [int(r[2]) for r in body]
+    assert body[-1][2] == stdout_value(result, "merges")
+    assert body[-1][3] == stdout_value(result, "live_nodes")
+    assert all(float(r[4]) >= 0.0 for r in body)
 
 
 def test_tree_build_five_leaves_leave_two_nodes(tmp_path):

@@ -131,10 +131,9 @@ def test_filter_states_keep_the_finite_and_psd_checks():
         KalmanState._trusted(np.array([0.0, np.nan, 0.0, 0.0]), np.eye(4))
     with pytest.raises(ValueError, match="positive semidefinite"):
         KalmanState._trusted(np.zeros(4), -np.eye(4))
-    # 1e308 * I is a valid covariance, but the public constructor's
-    # symmetrisation overflows on it, so the filter's own constructor
-    # builds the input.  8e307 with position-velocity correlation passes
-    # the public checks.  Either way predict's f P f^T overflows.
+    # 1e308 * I is a valid covariance; here the filter's own constructor
+    # builds it, and 8e307 with position-velocity correlation goes
+    # through the public checks.  Either way predict's f P f^T overflows.
     corr = np.eye(4) + 0.5 * (np.eye(4, k=2) + np.eye(4, k=-2))
     states = [
         KalmanState._trusted(np.zeros(4), 1e308 * np.eye(4)),

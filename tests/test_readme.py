@@ -1,0 +1,34 @@
+"""The README's promises, checked as written."""
+
+import pathlib
+import re
+import subprocess
+import sys
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quick_start_runs_and_keeps_its_promises():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope: dict = {}
+    exec(compile(code, str(README), "exec"), scope)
+    tree, root, sample = scope["tree"], scope["root"], scope["sample"]
+    assert root.block.rows == min(tree.n, tree.dim) == 32
+    assert sample.rows.rows <= 2 * tree.n
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import corestream, corestream.cli\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert set(result.stdout.split()) <= {"numpy", "corestream"}, result.stdout

@@ -212,8 +212,6 @@ def test_tracker_params_validation():
         TrackerParams(sampler="nope")
     with pytest.raises(ValueError):
         TrackerParams(em_every=0)
-    with pytest.raises(ValueError):
-        TrackerParams(em_iterations=0)
 
 
 def test_loop_perfect_on_stationary_target():

@@ -1,5 +1,7 @@
 """Tests for the merge-and-reduce stack: counters, spans, collapse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,13 +56,22 @@ def test_push_point_validation():
 
 def test_a_merge_that_overflows_raises():
     # Every entry is finite, but the merged leaves' top singular value
-    # lies beyond the float range.
+    # lies beyond the float range.  The failed push commits nothing: the
+    # tree keeps the leaf the merge would have consumed and the pending
+    # row, and its counters read as before the push.
     tree = CoresetTree(2, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(3):
             tree.push_point(np.full(2, 1e308))
         with pytest.raises(ValueError, match="overflow"):
             tree.push_point(np.full(2, 1e308))
+    validate_view(tree.snapshot())
+    assert tree.points_seen == 3
+    assert tree.leaves_seen == 1
+    assert tree.merge_count == 0
+    assert tree.max_live_nodes == 1
+    assert tree.live_node_count() == 1
+    assert tree.pending_count() == 1
 
 
 def test_the_tree_builds_no_publicly_validated_blocks(monkeypatch):
@@ -209,21 +220,29 @@ def test_max_live_nodes_tracks_the_transient_peak():
     assert tree.max_live_nodes == 3
 
 
-def test_telemetry_series_are_aligned_and_consistent():
-    tree = CoresetTree(2, 4)
-    push_stream(tree, 25, seed=6)
-    stats = tree.telemetry()
-    assert len(stats.merges_per_push) == 25
-    assert len(stats.cumulative_svds) == 25
-    assert len(stats.live_nodes) == 25
-    assert len(stats.push_seconds) == 25
-    assert sum(stats.merges_per_push) == stats.merge_count
-    assert stats.cumulative_svds[-1] == stats.merge_count
-    assert stats.live_nodes[-1] == tree.live_node_count()
-    assert stats.points_seen == 25
-    assert all(t >= 0.0 for t in stats.push_seconds)
-    running = np.cumsum(stats.merges_per_push)
-    assert list(running) == list(stats.cumulative_svds)
+def test_tree_memory_does_not_grow_with_the_stream():
+    # The object's size depends on n and dim only.  Each stream below
+    # ends on a single live node, so 4x and 16x the pushes must hold the
+    # same memory up to numpy's own small caches (about 1 KB here).  A
+    # per-push log of even one pointer would add 8 B a push, over 100 KB
+    # between the first and last stream.
+    n, dim = 8, 4
+    # One untraced merge first, so numpy's one-time allocations are not
+    # charged to the first stream.
+    push_stream(CoresetTree(n, dim), 2 * n)
+    held = []
+    for k in (10, 12, 14):
+        rows = np.random.default_rng(k).standard_normal((2**k, dim))
+        tracemalloc.start()
+        try:
+            tree = CoresetTree(n, dim)
+            for row in rows:
+                tree.push_point(row)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert tree.live_node_count() == 1
+    assert max(held) - min(held) < 4096, held
 
 
 def test_identical_streams_build_identical_trees():
