@@ -8,9 +8,10 @@ model is
 
 with F the constant-velocity transition and H reading out position.
 em_fit learns Q and R from an observed center sequence by expectation
-maximization: the E-step runs a Kalman smoother under the current
-noise, the M-step re-estimates both covariances in closed form.  The
-observed-data log-likelihood never decreases across iterations.
+maximization.  The E-step runs the Kalman filter and RTS smoother as
+parallel-prefix scans in ceil(log2 T) batched levels (Sarkka & Garcia-
+Fernandez, IEEE TAC 2021); the M-step re-estimates both covariances in
+closed form.  The observed-data log-likelihood never decreases.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ _H[0, 0] = 1.0
 _H[1, 1] = 1.0
 
 _SYM_TOL = 1e-9
+_I4 = np.eye(STATE_DIM)
 
 
 def transition_matrix(dt: float = 1.0) -> np.ndarray:
@@ -135,7 +137,7 @@ class NoiseParams:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def kalman_predict(state: KalmanState, noise: NoiseParams, dt: float = 1.0) -> KalmanState:
@@ -167,75 +169,72 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
     return KalmanState._trusted(x, p)
 
 
-def _forward_pass(
+def _scan(elements: list[np.ndarray], combine, reverse: bool = False) -> None:
+    """Hillis-Steele scan in place, in ceil(log2 T) batched levels: element t
+    becomes the combination of elements 0..t, or of t..T-1 when reverse is set."""
+    d = 1
+    while d < len(elements[0]):
+        combined = combine([e[:-d] for e in elements], [e[d:] for e in elements])
+        for e, c in zip(elements, combined):
+            e[slice(None, -d) if reverse else slice(d, None)] = c
+        d *= 2
+
+
+def _combine_filtering(earlier, later):
+    """Associative operator on filtering elements (A, b, C, eta, J)."""
+    (a1, b1, c1, eta1, j1), (a2, b2, c2, eta2, j2) = earlier, later
+    # C and J are symmetric, so (I + J2 C1)^-1 = m^T: one inverse serves both.
+    m = np.linalg.inv(_I4 + c1 @ j2)
+    a2m, a1mt = a2 @ m, (m @ a1).transpose(0, 2, 1)
+    b = a2m @ (b1 + c1 @ eta2) + b2
+    eta = a1mt @ (eta2 - j2 @ b1) + eta1
+    return a2m @ a1, b, a2m @ c1 @ a2.transpose(0, 2, 1) + c2, eta, a1mt @ j2 @ a1 + j1
+
+
+def _combine_smoothing(earlier, later):
+    """Associative operator on smoothing elements (E, g, L)."""
+    (e1, g1, l1), (e2, g2, l2) = earlier, later
+    return e1 @ e2, e1 @ g2 + g1, e1 @ l2 @ e1.transpose(0, 2, 1) + l1
+
+
+def _e_step(
     zs: np.ndarray, q: np.ndarray, r: np.ndarray, mu0: np.ndarray, p0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Kalman filter over the whole sequence.
-
-    Returns predicted means/covariances, filtered means/covariances and
-    the observed-data log-likelihood.
-    """
-    t_len = zs.shape[0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Kalman filter and RTS smoother as scans: smoothed means and covariances,
+    lag[t] = Cov(x[t], x[t-1] | all observations) for t >= 1 and the
+    log-likelihood, with the prior (mu0, p0) at t = 0."""
     f = transition_matrix(1.0)
-    pred_m = np.zeros((t_len, STATE_DIM))
-    pred_p = np.zeros((t_len, STATE_DIM, STATE_DIM))
-    filt_m = np.zeros((t_len, STATE_DIM))
-    filt_p = np.zeros((t_len, STATE_DIM, STATE_DIM))
-    loglik = 0.0
-    log_2pi = OBS_DIM * np.log(2.0 * np.pi)
-    m, p = mu0, p0
-    for t in range(t_len):
-        if t > 0:
-            m = f @ m
-            p = _sym(f @ p @ f.T + q)
-        pred_m[t] = m
-        pred_p[t] = p
-        # H reads out position, so H m and H P H^T are leading slices
-        # and the 2x2 innovation covariance inverts in closed form.
-        innovation = zs[t] - m[:OBS_DIM]
-        (s00, s01), (s10, s11) = _sym(p[:OBS_DIM, :OBS_DIM] + r).tolist()
-        det = s00 * s11 - s01 * s10
-        if not det > 0:
-            raise np.linalg.LinAlgError("innovation covariance not positive definite")
-        s_inv = np.array([[s11, -s01], [-s10, s00]]) / det
-        loglik += -0.5 * (log_2pi + np.log(det) + innovation @ s_inv @ innovation)
-        gain = p[:, :OBS_DIM] @ s_inv
-        m = m + gain @ innovation
-        ikh = np.eye(STATE_DIM)
-        ikh[:, :OBS_DIM] -= gain
-        p = _sym(ikh @ p @ ikh.T + gain @ r @ gain.T)
-        filt_m[t] = m
-        filt_p[t] = p
-    return pred_m, pred_p, filt_m, filt_p, float(loglik)
-
-
-def _smooth_pass(
-    pred_m: np.ndarray,
-    pred_p: np.ndarray,
-    filt_m: np.ndarray,
-    filt_p: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rauch-Tung-Striebel smoother plus lag-one covariances.
-
-    Returns smoothed means, smoothed covariances and lag[t] =
-    Cov(x[t], x[t-1] | all observations) for t >= 1.
-    """
-    t_len = pred_m.shape[0]
-    f = transition_matrix(1.0)
-    sm = filt_m.copy()
-    sp = filt_p.copy()
-    # The gains J[t] = filt_p[t] F^T pred_p[t+1]^-1 depend on the
-    # covariances only, so one batched solve of
-    # pred_p[t+1]^T J[t]^T = F filt_p[t]^T yields all of them.
-    gains_t = np.linalg.solve(np.swapaxes(pred_p[1:], 1, 2), f @ np.swapaxes(filt_p[:-1], 1, 2))
-    gains = np.swapaxes(gains_t, 1, 2)
-    for t in range(t_len - 2, -1, -1):
-        j = gains[t]
-        sm[t] = filt_m[t] + j @ (sm[t + 1] - pred_m[t + 1])
-        sp[t] = _sym(filt_p[t] + j @ (sp[t + 1] - pred_p[t + 1]) @ j.T)
-    lag = np.zeros((t_len, STATE_DIM, STATE_DIM))
-    lag[1:] = sp[1:] @ np.swapaxes(gains, 1, 2)
-    return sm, sp, lag
+    hf, later = f[:OBS_DIM], (np.arange(zs.shape[0]) > 0)[:, None, None]
+    # Filtering element 0 conditions the prior on z[0]; element t > 0 conditions
+    # the noise N(0, Q) of x[t] = F x[t-1] + w on z[t], so Q is never inverted.
+    priors = np.stack([p0, q])
+    s_inv = np.linalg.inv(priors[:, :OBS_DIM, :OBS_DIM] + r)
+    gain = priors[:, :, :OBS_DIM] @ s_inv
+    ikh = _I4 - gain @ _H
+    posts = _sym(ikh @ priors @ ikh.transpose(0, 2, 1) + gain @ r @ gain.transpose(0, 2, 1))
+    b = zs @ gain[1].T
+    b[0] = mu0 + gain[0] @ (zs[0] - mu0[:OBS_DIM])
+    c, sh = np.where(later, posts[1], posts[0]), s_inv[1] @ hf
+    eta, j = later * (sh.T @ zs[..., None]), later * (hf.T @ sh)
+    _scan([later * (ikh[1] @ f), b[..., None], c, eta, j], _combine_filtering)
+    filt_p = _sym(c)
+    # Cholesky raises LinAlgError, before any log, unless every innovation covariance is PD.
+    pred_p = np.concatenate([p0[None], _sym(f @ filt_p[:-1] @ f.T + q)])
+    chol = np.linalg.cholesky(pred_p[:, :OBS_DIM, :OBS_DIM] + r)
+    innovation = zs - np.concatenate([mu0[None], b[:-1] @ f.T])[:, :OBS_DIM]
+    white = np.linalg.solve(chol, innovation[..., None])
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2))
+    loglik = -0.5 * (zs.size * np.log(2.0 * np.pi) + float(np.sum(logdet) + np.sum(white**2)))
+    # Smoothing element t is (E, (I - E F) m, (I - E F) P) for the filtered
+    # (m, P) and gain E = P F^T pred_p[t+1]^-1, with E = 0 at the end.
+    gains_t = np.linalg.solve(pred_p[1:], f @ filt_p[:-1])
+    e = np.concatenate([gains_t.transpose(0, 2, 1), np.zeros((1, STATE_DIM, STATE_DIM))])
+    ief = _I4 - e @ f
+    g, l = ief @ b[..., None], ief @ filt_p
+    _scan([e, g, l], _combine_smoothing, reverse=True)
+    sp = _sym(l)
+    lag = np.concatenate([np.zeros((1, STATE_DIM, STATE_DIM)), sp[1:] @ gains_t])
+    return g[..., 0], sp, lag, loglik
 
 
 def _initial_guesses(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -256,12 +255,12 @@ def _initial_guesses(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _em_once(
     zs: np.ndarray, q: np.ndarray, r: np.ndarray, mu0: np.ndarray, p0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One EM sweep: returns updated (Q, R) and the log-likelihood of
-    the parameters that produced them."""
+    """One EM sweep, its E-step two parallel-prefix scans (_e_step): returns
+    updated (Q, R) and the log-likelihood of the parameters that produced
+    them."""
     t_len = zs.shape[0]
     f = transition_matrix(1.0)
-    pred_m, pred_p, filt_m, filt_p, loglik = _forward_pass(zs, q, r, mu0, p0)
-    sm, sp, lag = _smooth_pass(pred_m, pred_p, filt_m, filt_p)
+    sm, sp, lag, loglik = _e_step(zs, q, r, mu0, p0)
 
     # Q's sufficient statistic sum_t E[(x[t+1] - F x[t])(x[t+1] - F x[t])^T]
     # as array reductions over t; the mean part is the outer product of
@@ -290,8 +289,9 @@ def _em_once(
 def em_fit_detailed(centers: np.ndarray, iterations: int) -> tuple[NoiseParams, list[float]]:
     """EM fit that also reports the log-likelihood before each sweep.
 
-    The returned list has one entry per iteration and is non-decreasing
-    up to the covariance floor.
+    Each E-step is a parallel-prefix Kalman smoother in ceil(log2 T)
+    batched levels (Sarkka & Garcia-Fernandez, IEEE TAC 2021).  The list
+    has one entry per iteration and is non-decreasing up to the covariance floor.
     """
     zs = np.asarray(centers, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != OBS_DIM:

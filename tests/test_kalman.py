@@ -1,5 +1,7 @@
 """Tests for the constant-velocity filter and its EM noise fitter."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,9 @@ from corestream import (
 )
 from corestream.kalman import (
     COV_FLOOR,
+    _e_step,
     _em_once,
-    _forward_pass,
     _initial_guesses,
-    _smooth_pass,
     _sym,
     observation_matrix,
     transition_matrix,
@@ -248,15 +249,19 @@ def test_em_handles_identical_centers():
 
 
 def general_forward_pass(zs, q, r, mu0, p0):
-    """Reference filter: the general inverse and log-determinant of the
-    innovation covariance, with H applied as a matrix."""
+    """Reference filter: one step per observation, with the general
+    inverse and log-determinant of the innovation covariance and H
+    applied as a matrix.  Returns predicted and filtered moments and
+    the log-likelihood."""
     f, h = transition_matrix(1.0), observation_matrix()
     m, p = mu0, p0
-    means, covs, loglik = [], [], 0.0
+    pred_m, pred_p, filt_m, filt_p, loglik = [], [], [], [], 0.0
     for t in range(zs.shape[0]):
         if t > 0:
             m = f @ m
             p = _sym(f @ p @ f.T + q)
+        pred_m.append(m)
+        pred_p.append(p)
         innovation = zs[t] - h @ m
         s = _sym(h @ p @ h.T + r)
         s_inv = np.linalg.inv(s)
@@ -266,9 +271,9 @@ def general_forward_pass(zs, q, r, mu0, p0):
         m = m + gain @ innovation
         ikh = np.eye(4) - gain @ h
         p = _sym(ikh @ p @ ikh.T + gain @ r @ gain.T)
-        means.append(m)
-        covs.append(p)
-    return np.array(means), np.array(covs), loglik
+        filt_m.append(m)
+        filt_p.append(p)
+    return (*map(np.array, (pred_m, pred_p, filt_m, filt_p)), loglik)
 
 
 def looped_smooth_pass(pred_m, pred_p, filt_m, filt_p):
@@ -286,6 +291,12 @@ def looped_smooth_pass(pred_m, pred_p, filt_m, filt_p):
     for t in range(1, t_len):
         lag[t] = sp[t] @ gains[t - 1].T
     return sm, sp, lag
+
+
+def looped_e_step(zs, q, r, mu0, p0):
+    """Reference E-step: the looped filter, then the looped smoother."""
+    *filtered, loglik = general_forward_pass(zs, q, r, mu0, p0)
+    return (*looped_smooth_pass(*filtered), loglik)
 
 
 def looped_m_step(zs, sm, sp, lag):
@@ -322,26 +333,29 @@ def em_sweeps(seeds, t_len, sweeps):
             q, r, _ = _em_once(zs, q, r, mu0, p0)
 
 
-def test_forward_pass_matches_the_general_2x2_algebra():
-    for zs, q, r, mu0, p0 in em_sweeps(range(5), 80, 5):
-        _, _, filt_m, filt_p, loglik = _forward_pass(zs, q, r, mu0, p0)
-        ref_m, ref_p, ref_loglik = general_forward_pass(zs, q, r, mu0, p0)
-        assert np.allclose(filt_m, ref_m, rtol=1e-12, atol=1e-9)
-        assert np.allclose(filt_p, ref_p, rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("t_len", [4, 5, 16, 20, 64, 256])
+def test_e_step_matches_the_looped_filter_and_smoother(t_len):
+    # The scans reassociate the filter and smoother recursions, so they
+    # agree with the loops to roundoff, not bit for bit.
+    for zs, q, r, mu0, p0 in em_sweeps(range(5), t_len, 5):
+        sm, sp, lag, loglik = _e_step(zs, q, r, mu0, p0)
+        ref_sm, ref_sp, ref_lag, ref_loglik = looped_e_step(zs, q, r, mu0, p0)
+        assert np.allclose(sm, ref_sm, rtol=1e-12, atol=1e-9)
+        assert np.allclose(sp, ref_sp, rtol=1e-12, atol=1e-12)
+        assert np.allclose(lag, ref_lag, rtol=1e-12, atol=1e-12)
         assert abs(loglik - ref_loglik) <= 1e-12 * abs(ref_loglik)
 
 
-def test_smooth_pass_matches_the_per_step_solves():
-    for zs, q, r, mu0, p0 in em_sweeps(range(5), 80, 5):
-        filtered = _forward_pass(zs, q, r, mu0, p0)[:4]
-        for got, ref in zip(_smooth_pass(*filtered), looped_smooth_pass(*filtered)):
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-def test_forward_pass_rejects_a_singular_innovation():
+def test_e_step_rejects_a_singular_innovation():
+    # With P0 = Q = I the first innovation covariance is (1 + s) I:
+    # singular at s = -1, and at s = -3 negative definite with a
+    # positive determinant.  Both must raise before any log is taken.
     zs = np.zeros((5, 2))
-    with pytest.raises(np.linalg.LinAlgError):
-        _forward_pass(zs, np.eye(4), -np.eye(2), np.zeros(4), np.eye(4))
+    for s in (-1.0, -3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError):
+                _e_step(zs, np.eye(4), s * np.eye(2), np.zeros(4), np.eye(4))
 
 
 def test_em_once_matches_the_looped_m_step():
@@ -355,7 +369,7 @@ def test_em_once_matches_the_looped_m_step():
     worst_q = worst_r = worst_loop = 0.0
     for zs, q, r, mu0, p0 in em_sweeps(range(20), 80, 10):
         q_new, r_new, _ = _em_once(zs, q, r, mu0, p0)
-        sm, sp, lag = _smooth_pass(*_forward_pass(zs, q, r, mu0, p0)[:4])
+        sm, sp, lag, _ = _e_step(zs, q, r, mu0, p0)
         wide = [a.astype(np.longdouble) for a in (zs, sm, sp, lag)]
         q_ref, r_ref = looped_m_step(*wide)
         q_loop, _ = looped_m_step(zs, sm, sp, lag)

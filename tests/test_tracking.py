@@ -1,9 +1,13 @@
 """Tests for the synthetic stream generator and the full tracking loop."""
 
+import json
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+from test_kalman import looped_e_step, looped_m_step
 
 from corestream import (
     CoresetTree,
@@ -11,6 +15,7 @@ from corestream import (
     DetectParams,
     FrameRecord,
     LinearModel,
+    NoiseParams,
     SyntheticStreamConfig,
     TrackRun,
     TrackerParams,
@@ -23,6 +28,8 @@ from corestream import (
     suppress,
     track_stream,
 )
+from corestream import tracking
+from corestream.kalman import _initial_guesses
 from corestream.tracking import _Trainer, config_from_dict
 
 
@@ -331,3 +338,55 @@ def test_flat_baseline_sample_copies_only_the_rows_it_keeps(mode, monkeypatch):
     assert np.array_equal(sample.rows.values, expected.rows.values)
     assert sample.tags == expected.tags
     assert (sample.n, sample.points_seen) == (expected.n, expected.points_seen)
+
+
+def test_drift_tracks_match_a_looped_em(monkeypatch):
+    # The EM E-step reassociates the filter and smoother recursions, so
+    # fitted noise moves by roundoff only: on the bundled drift streams
+    # every track decision must match an EM built from the looped
+    # reference steps, and estimates must agree to 1e-8.
+    raw = json.loads(
+        resources.files("corestream").joinpath("configs/drift_stream.json").read_text("ascii")
+    )
+    streams = []
+    for seed in (0, 7):
+        config = replace(config_from_dict(raw), seed=seed)
+        streams.append((config, generate_stream(config)))
+
+    def run_all():
+        return [
+            track_stream(
+                frames,
+                config,
+                tracker=TrackerParams(n=16, sampler=sampler, em_every=2),
+                train_params=TrainParams(iterations=120),
+                detect_params=DetectParams(threshold=0.0),
+            )
+            for config, frames in streams
+            for sampler in ("hierarchical", "root", "random", "subsample")
+        ]
+
+    fits = []
+
+    def looped_em_fit(centers, iterations):
+        zs = np.asarray(centers, dtype=float)
+        mu0, p0, q, r = _initial_guesses(zs)
+        for _ in range(iterations):
+            q, r = looped_m_step(zs, *looped_e_step(zs, q, r, mu0, p0)[:3])
+        fits.append(zs.shape[0])
+        return NoiseParams(Q=q, R=r)
+
+    runs = run_all()
+    monkeypatch.setattr(tracking, "em_fit", looped_em_fit)
+    looped = run_all()
+    assert fits
+    for run, ref in zip(runs, looped):
+        assert len(run.records) == len(ref.records)
+        for got, want in zip(run.records, ref.records):
+            assert (got.chosen, got.correct, got.model_points) == (
+                want.chosen,
+                want.correct,
+                want.model_points,
+            )
+            assert repr(got.score) == repr(want.score)
+            assert np.allclose(got.estimate, want.estimate, rtol=0.0, atol=1e-8)
