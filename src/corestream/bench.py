@@ -49,30 +49,23 @@ class SvmBenchRow:
     full_train_seconds: float
 
 
-def _stream_rows(rng: np.random.Generator, points: int, dim: int) -> np.ndarray:
-    return rng.standard_normal((points, dim))
-
-
 def build_tree(points: int, n: int, dim: int, seed: int) -> CoresetTree:
     """Push a seeded Gaussian stream of the given length through a tree."""
-    rng = np.random.default_rng(seed)
     tree = CoresetTree(n, dim)
-    for row in _stream_rows(rng, points, dim):
-        tree.push_point(row)
+    tree.push_rows(np.random.default_rng(seed).standard_normal((points, dim)))
     return tree
 
 
 def stream_bench(points: int, n: int, dim: int, seed: int) -> StreamBenchRow:
     """Build a tree over one stream length and summarize its counters.
 
-    Only the push loop is timed; the rows are generated before the
+    Only the batched push is timed; the rows are generated before the
     clock starts.
     """
-    rows = _stream_rows(np.random.default_rng(seed), points, dim)
+    rows = np.random.default_rng(seed).standard_normal((points, dim))
     tree = CoresetTree(n, dim)
     start = time.perf_counter()
-    for row in rows:
-        tree.push_point(row)
+    tree.push_rows(rows)
     elapsed = time.perf_counter() - start
     ratio = max(points / n, 1.0)
     return StreamBenchRow(
@@ -95,11 +88,9 @@ def svm_time_bench(
     length, so its training time should stay flat while full-data
     training grows with the stream.
     """
-    rng = np.random.default_rng(seed)
-    rows = _stream_rows(rng, points, dim)
+    rows = np.random.default_rng(seed).standard_normal((points, dim))
     tree = CoresetTree(n, dim)
-    for row in rows:
-        tree.push_point(row)
+    tree.push_rows(rows)
     sample = hierarchical_sample(tree.snapshot())
     start = time.perf_counter()
     train_one_class(sample, train_params)

@@ -96,25 +96,28 @@ def _read_features_text(path: str) -> DataBlock:
             ) from None
         if dim < 1 or rows < 0:
             raise FormatError(f"{path}: line 1: need dim >= 1 and rows >= 0")
-        data = np.zeros((rows, dim))
-        for i in range(rows):
-            line = fh.readline()
-            if not line:
-                raise FormatError(
-                    f"{path}: line {i + 2}: file ends after {i} of {rows} rows"
-                )
+        if rows == 0:
+            raise FormatError(f"{path}: header declares zero rows, nothing to read")
+        # Rows are collected before the count is compared, so a header
+        # cannot make the reader allocate more than the file holds.
+        data: list[list[float]] = []
+        for lineno, line in enumerate(fh, start=2):
+            if len(data) == rows:
+                raise FormatError(f"{path}: line {lineno}: data past the {rows} rows declared")
             fields = line.split()
             if len(fields) != dim:
                 raise FormatError(
-                    f"{path}: line {i + 2}: expected {dim} values, got {len(fields)}"
+                    f"{path}: line {lineno}: expected {dim} values, got {len(fields)}"
                 )
             try:
-                data[i] = [float(x) for x in fields]
+                data.append([float(x) for x in fields])
             except ValueError:
-                raise FormatError(f"{path}: line {i + 2}: non-numeric value") from None
-        if rows == 0:
-            raise FormatError(f"{path}: header declares zero rows, nothing to read")
-        return DataBlock(data)
+                raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
+        if len(data) < rows:
+            raise FormatError(
+                f"{path}: line {len(data) + 2}: file ends after {len(data)} of {rows} rows"
+            )
+        return DataBlock(np.array(data))
 
 
 def _read_features_binary(path: str) -> DataBlock:
@@ -164,17 +167,31 @@ def _block_to_dict(cb: CoresetBlock) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """value itself if it is a JSON integer; floats, strings and booleans
+    raise TypeError instead of being coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _block_from_dict(raw: dict, where: str) -> CoresetBlock:
     try:
         values = np.array(raw["values"], dtype=float)
+        if type(raw["c"]) not in (int, float):
+            raise TypeError(f"c must be a JSON number, got {raw['c']!r}")
         block = CoresetBlock(
-            block=DataBlock(values), c=float(raw["c"]), source_rows=int(raw["source_rows"])
+            block=DataBlock(values),
+            c=float(raw["c"]),
+            source_rows=_json_int(raw["source_rows"], "source_rows"),
+        )
+        declared = (
+            _json_int(raw.get("rows", block.block.rows), "rows"),
+            _json_int(raw.get("dim", block.block.dim), "dim"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{where}: bad summary block: {exc}") from None
-    if block.block.rows != int(raw.get("rows", block.block.rows)) or block.block.dim != int(
-        raw.get("dim", block.block.dim)
-    ):
+    if declared != (block.block.rows, block.block.dim):
         raise FormatError(f"{where}: declared shape disagrees with values")
     return block
 
@@ -234,25 +251,25 @@ def read_snapshot(path: str) -> TreeView:
     try:
         nodes = tuple(
             CoresetNode(
-                level=int(raw["level"]),
+                level=_json_int(raw["level"], "level"),
                 summary=_block_from_dict(raw, path),
-                span=(int(raw["span"][0]), int(raw["span"][1])),
+                span=(_json_int(raw["span"][0], "span"), _json_int(raw["span"][1], "span")),
             )
             for raw in doc["nodes"]
         )
         pending = np.array(doc["pending"], dtype=float)
         if pending.size == 0:
-            pending = np.zeros((0, int(doc["dim"])))
+            pending = np.zeros((0, _json_int(doc["dim"], "dim")))
         pending.setflags(write=False)
         view = TreeView(
-            n=int(doc["n"]),
-            dim=int(doc["dim"]),
+            n=_json_int(doc["n"], "n"),
+            dim=_json_int(doc["dim"], "dim"),
             nodes=nodes,
             pending=pending,
-            points_seen=int(doc["points_seen"]),
-            leaves_seen=int(doc["leaves_seen"]),
-            merge_count=int(doc["merge_count"]),
-            max_live_nodes=int(doc["max_live_nodes"]),
+            points_seen=_json_int(doc["points_seen"], "points_seen"),
+            leaves_seen=_json_int(doc["leaves_seen"], "leaves_seen"),
+            merge_count=_json_int(doc["merge_count"], "merge_count"),
+            max_live_nodes=_json_int(doc["max_live_nodes"], "max_live_nodes"),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: bad snapshot document: {exc}") from None

@@ -140,9 +140,9 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def kalman_predict(state: KalmanState, noise: NoiseParams, dt: float = 1.0) -> KalmanState:
+def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
     """Advance the state one step without an observation."""
-    f = transition_matrix(dt)
+    f = transition_matrix()
     x = f @ state.x
     p = _sym(f @ state.P @ f.T + noise.Q)
     return KalmanState._trusted(x, p)

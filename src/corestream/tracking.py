@@ -427,14 +427,10 @@ def track_stream(
     records: list[FrameRecord] = []
     bootstrap_frames = 0
 
-    def push_rows(rows: list[np.ndarray]) -> bool:
-        leaf = False
-        for row in rows:
-            if history is not None:
-                history.append(np.asarray(row, dtype=float))
-            if tree.push_point(row).leaf_formed:
-                leaf = True
-        return leaf
+    def push_rows(rows: np.ndarray) -> bool:
+        if history is not None:
+            history.extend(rows)
+        return tree.push_rows(rows) > 0
 
     def on_leaf() -> None:
         nonlocal model, model_points, noise
@@ -446,9 +442,8 @@ def track_stream(
         if model is None:
             bootstrap_frames = frame.index + 1
             truth_feat = frame.features[frame.truth_index]
-            rows = [truth_feat]
-            for _ in range(config.jitter_copies):
-                rows.append(truth_feat + config.jitter_scale * jitter_rng.standard_normal(config.dim))
+            jitter = jitter_rng.standard_normal((config.jitter_copies, config.dim))
+            rows = np.vstack([truth_feat, truth_feat + config.jitter_scale * jitter])
             centers.append(frame.truth_position.copy())
             leaf = push_rows(rows)
             records.append(
@@ -469,7 +464,7 @@ def track_stream(
         threshold = dp.threshold if dp.threshold is not None else model.threshold
         found = detect(model, frame, threshold, radius)
         points_behind = model_points
-        state = kalman_predict(state, noise, 1.0)
+        state = kalman_predict(state, noise)
         if found is None:
             records.append(
                 FrameRecord(
@@ -497,7 +492,7 @@ def track_stream(
                 model_points=points_behind,
             )
         )
-        if push_rows([found.feature]):
+        if push_rows(found.feature[None]):
             on_leaf()
 
     run = TrackRun(

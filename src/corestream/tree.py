@@ -82,9 +82,9 @@ def _merge(older: CoresetBlock, newer: CoresetBlock, n: int) -> CoresetBlock:
 class CoresetTree:
     """Single-writer summary stack with bounded memory.
 
-    push_point is the only mutating operation and must be called from
-    one thread at a time; snapshot() may be called concurrently from
-    readers and returns a frozen copy that later pushes cannot alter.
+    push_point and push_rows must be called from one thread at a time;
+    snapshot() may be called concurrently from readers and returns a
+    frozen copy that later pushes cannot alter.
 
     It keeps no per-push history, so its size depends on n and dim only;
     a per-push record is each push's MergeReport plus the counters.
@@ -98,7 +98,8 @@ class CoresetTree:
         self.n = n
         self.dim = dim
         self._stack: list[CoresetNode] = []
-        self._pending: list[np.ndarray] = []
+        self._leaf = np.empty((n, dim))
+        self._fill = 0
         self._points_seen = 0
         self._leaves_seen = 0
         self._merge_count = 0
@@ -125,7 +126,7 @@ class CoresetTree:
         return len(self._stack)
 
     def pending_count(self) -> int:
-        return len(self._pending)
+        return self._fill
 
     def push_point(self, row: np.ndarray) -> MergeReport:
         """Append one stream row, forming and merging leaves as needed."""
@@ -134,22 +135,53 @@ class CoresetTree:
             raise ValueError(f"expected a row of shape ({self.dim},), got {row.shape}")
         if not np.isfinite(row).all():
             raise ValueError("row entries must be finite")
-        with self._lock:
-            if len(self._pending) + 1 < self.n:
-                self._pending.append(row.copy())
-                self._points_seen += 1
-                return _NO_LEAF
-            return MergeReport(leaf_formed=True, merged_levels=self._absorb_leaf(row))
+        return self._push(row[None])
 
-    def _absorb_leaf(self, row: np.ndarray) -> tuple[int, ...]:
-        """Form a leaf from the pending rows and row, then run its merge cascade.
+    def push_rows(self, rows: np.ndarray) -> int:
+        """Append rows in stream order; return the number of leaves formed.
+
+        The tree ends as if each row had gone through push_point.  The
+        whole batch is checked before any row goes in, and the lock is
+        held for one leaf at a time, so snapshot() waits at most one cascade.
+        """
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ValueError(f"expected rows of shape (k, {self.dim}), got {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("row entries must be finite")
+        leaves = start = 0
+        while start < rows.shape[0]:
+            stop = start + self.n - self._fill
+            leaves += self._push(rows[start:stop]).leaf_formed
+            start = stop
+        return leaves
+
+    def _push(self, part: np.ndarray) -> MergeReport:
+        """Copy checked rows that fit the open leaf into its buffer, and
+        absorb the leaf if they fill it."""
+        k = part.shape[0]
+        with self._lock:
+            fill = self._fill + k
+            self._leaf[self._fill : fill] = part
+            if fill < self.n:
+                self._fill = fill
+                self._points_seen += k
+                return _NO_LEAF
+            # The leaf's last row counts once its merges succeed, so a merge
+            # that raises leaves the rows before it pending, as per-row pushes do.
+            self._fill = fill - 1
+            self._points_seen += k - 1
+            return self._absorb_leaf()
+
+    def _absorb_leaf(self) -> MergeReport:
+        """Form a leaf from the full buffer, then run its merge cascade.
 
         Nothing is committed until every merge has succeeded, so a merge
-        that raises leaves the tree as it was before the push.
+        that raises leaves the tree as it was before the leaf's last row.
         """
         points = self._points_seen + 1
         leaf = CoresetBlock(
-            block=DataBlock._trusted(np.vstack(self._pending + [row])),
+            block=DataBlock._trusted(self._leaf.copy()),
             c=0.0,
             source_rows=self.n,
         )
@@ -170,19 +202,16 @@ class CoresetTree:
         self._max_live_nodes = max(self._max_live_nodes, len(self._stack) + 1)
         del self._stack[keep:]
         self._stack.append(node)
-        self._pending = []
+        self._fill = 0
         self._points_seen = points
         self._leaves_seen += 1
         self._merge_count += len(merged)
-        return tuple(merged)
+        return MergeReport(leaf_formed=True, merged_levels=tuple(merged))
 
     def snapshot(self) -> TreeView:
         """Frozen copy of the current state, safe to read concurrently."""
         with self._lock:
-            if self._pending:
-                pending = np.vstack(self._pending)
-            else:
-                pending = np.zeros((0, self.dim))
+            pending = self._leaf[: self._fill].copy()
             pending.setflags(write=False)
             return TreeView(
                 n=self.n,
@@ -228,6 +257,8 @@ def collapse(view: TreeView) -> CoresetBlock:
 
 def validate_view(view: TreeView) -> None:
     """Raise ValueError if a view breaks any structural invariant."""
+    if view.n < 1 or view.dim < 1:
+        raise ValueError(f"need n >= 1 and dim >= 1, got n={view.n}, dim={view.dim}")
     levels = [node.level for node in view.nodes]
     for lower, upper in zip(levels, levels[1:]):
         if upper >= lower:

@@ -1,12 +1,13 @@
 """Round-trip and error-path tests for the on-disk formats."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from corestream import CoresetBlock, CoresetTree, DataBlock, validate_view
-from corestream import io
+from corestream import cli, io
 from corestream.io import FormatError
 
 
@@ -80,6 +81,32 @@ def test_text_parse_errors_name_the_line(tmp_path):
     path.write_text("dim=3 rows=0\n")
     with pytest.raises(FormatError, match="zero rows"):
         io.read_features(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("dim=1000000000 rows=1000000000\n", "line 2: file ends after 0 of 1000000000 rows"),
+        ("dim=3 rows=1\n1 2 3\n4 5 6\n7 8 9\n", "line 3: data past the 1 rows declared"),
+    ],
+    ids=["header-promises-more-than-the-file", "rows-past-the-header-count"],
+)
+def test_text_row_count_must_match_the_header(tmp_path, capsys, text, line):
+    # A bad count is a format error (exit 2) naming the line, never an
+    # allocation sized by the header or rows silently dropped.
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=line):
+        io.read_features(str(path))
+    code = cli.main(
+        [
+            "tree-build", "--in", str(path), "--n", "2",
+            "--snapshot-out", str(tmp_path / "s.json"),
+            "--telemetry-out", str(tmp_path / "t.csv"),
+        ]
+    )
+    assert code == 2
+    assert line in capsys.readouterr().err
 
 
 def test_binary_parse_errors(tmp_path):
@@ -207,6 +234,52 @@ def test_snapshot_reader_rejects_tampered_max_live_nodes(tmp_path, value):
 
     with pytest.raises(FormatError, match="max_live_nodes"):
         io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("points_seen", 23.0),
+        ("points_seen", 11.7),
+        ("points_seen", "23"),
+        ("leaves_seen", 5.0),
+        ("merge_count", True),
+        ("max_live_nodes", "3"),
+        ("n", 4.2),
+        ("n", 4.0),
+        ("dim", "3"),
+        ("nodes.0.level", 2.0),
+        ("nodes.0.span.1", 16.0),
+        ("nodes.0.span.0", "0"),
+        ("nodes.0.rows", 4.0),
+        ("nodes.0.dim", "3"),
+        ("nodes.0.source_rows", 16.5),
+        ("nodes.0.c", "0.0"),
+    ],
+)
+def test_snapshot_reader_rejects_non_integer_fields(tmp_path, field, value):
+    # Counters and shapes must be JSON integers and c a JSON number; a
+    # reader that coerced them would load a tampered file as a valid one.
+    *path, last = [int(key) if key.isdigit() else key for key in field.split(".")]
+
+    def tamper(doc):
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+
+    with pytest.raises(FormatError, match="must be a JSON"):
+        io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
+@pytest.mark.parametrize("key", ["n", "dim"])
+def test_snapshot_reader_rejects_a_zero_width_tree(tmp_path, key):
+    path = tmp_path / "snap.json"
+    io.write_snapshot(str(path), CoresetTree(4, 3).snapshot())
+    doc = json.loads(path.read_text())
+    doc[key] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="need n >= 1 and dim >= 1"):
+        io.read_snapshot(str(path))
 
 
 def test_snapshot_reader_rejects_a_node_of_the_wrong_dim(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the merge-and-reduce stack: counters, spans, collapse."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -225,24 +227,132 @@ def test_tree_memory_does_not_grow_with_the_stream():
     # ends on a single live node, so 4x and 16x the pushes must hold the
     # same memory up to numpy's own small caches (about 1 KB here).  A
     # per-push log of even one pointer would add 8 B a push, over 100 KB
-    # between the first and last stream.
+    # between the first and last stream.  Both ingest paths are checked.
     n, dim = 8, 4
-    # One untraced merge first, so numpy's one-time allocations are not
-    # charged to the first stream.
-    push_stream(CoresetTree(n, dim), 2 * n)
-    held = []
-    for k in (10, 12, 14):
-        rows = np.random.default_rng(k).standard_normal((2**k, dim))
-        tracemalloc.start()
-        try:
-            tree = CoresetTree(n, dim)
-            for row in rows:
-                tree.push_point(row)
-            held.append(tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
-        assert tree.live_node_count() == 1
-    assert max(held) - min(held) < 4096, held
+
+    def per_row(tree, rows):
+        for row in rows:
+            tree.push_point(row)
+
+    for ingest in (per_row, CoresetTree.push_rows):
+        # One untraced merge first, so numpy's one-time allocations are
+        # not charged to the first stream.
+        ingest(CoresetTree(n, dim), np.random.default_rng(0).standard_normal((2 * n, dim)))
+        held = []
+        for k in (10, 12, 14):
+            rows = np.random.default_rng(k).standard_normal((2**k, dim))
+            tracemalloc.start()
+            try:
+                tree = CoresetTree(n, dim)
+                ingest(tree, rows)
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert tree.live_node_count() == 1
+        assert max(held) - min(held) < 4096, (ingest, held)
+
+
+def assert_same_state(a: CoresetTree, b: CoresetTree) -> None:
+    """Bit-identical nodes, constants, spans, pending rows and counters."""
+    va, vb = a.snapshot(), b.snapshot()
+    counters = ("points_seen", "leaves_seen", "merge_count", "max_live_nodes")
+    assert [getattr(va, f) for f in counters] == [getattr(vb, f) for f in counters]
+    assert va.pending.shape == vb.pending.shape
+    assert va.pending.tobytes() == vb.pending.tobytes()
+    assert len(va.nodes) == len(vb.nodes)
+    for na, nb in zip(va.nodes, vb.nodes):
+        assert (na.level, na.span) == (nb.level, nb.span)
+        assert na.summary.source_rows == nb.summary.source_rows
+        assert na.summary.c == nb.summary.c
+        assert na.summary.block.values.shape == nb.summary.block.values.shape
+        assert na.summary.block.values.tobytes() == nb.summary.block.values.tobytes()
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    n=st.integers(1, 10),
+    sizes=st.lists(st.integers(0, 25), max_size=12),
+    seed=st.integers(0, 100),
+)
+def test_push_rows_matches_per_row_pushes(n, sizes, seed):
+    # Batches of any length, empty ones and ones spanning several
+    # leaves included, build the tree per-row pushes build.
+    rows = np.random.default_rng(seed).standard_normal((sum(sizes), 3))
+    per_row, batched = CoresetTree(n, 3), CoresetTree(n, 3)
+    for row in rows:
+        per_row.push_point(row)
+    start = 0
+    for size in sizes:
+        leaves = batched.leaves_seen
+        assert batched.push_rows(rows[start : start + size]) == batched.leaves_seen - leaves
+        start += size
+    assert batched.pending_count() == per_row.pending_count()
+    assert_same_state(batched, per_row)
+
+
+def test_push_rows_stops_where_per_row_pushes_stop_on_a_raising_merge():
+    # The second leaf's merge overflows.  As with per-row pushes, the
+    # rows before that leaf's last row stay pushed and nothing after it
+    # goes in.
+    tree = CoresetTree(2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflow"):
+            tree.push_rows(np.full((6, 2), 1e308))
+    validate_view(tree.snapshot())
+    assert tree.points_seen == 3
+    assert tree.leaves_seen == 1
+    assert tree.merge_count == 0
+    assert tree.live_node_count() == 1
+    assert tree.pending_count() == 1
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [np.ones((5, 2)), np.ones(3), np.vstack([np.ones((4, 3)), [[1.0, 2.0, np.nan]]])],
+    ids=["wrong-width", "one-dimensional", "nan-in-last-row"],
+)
+def test_a_bad_batch_leaves_the_tree_untouched(batch):
+    # n=2 with one row pending: an unchecked batch would complete a leaf
+    # before reaching its bad row.
+    tree, twin = CoresetTree(2, 3), CoresetTree(2, 3)
+    push_stream(tree, 5, seed=6)
+    push_stream(twin, 5, seed=6)
+    with pytest.raises(ValueError):
+        tree.push_rows(batch)
+    assert_same_state(tree, twin)
+
+
+def test_snapshots_taken_during_push_rows_are_consistent():
+    # push_rows releases the lock between leaves; every view a reader
+    # takes meanwhile must still pass structural validation.  At this
+    # size a _push that skipped the lock fails this test reliably.
+    tree = CoresetTree(2, 3)
+    rows = np.random.default_rng(14).standard_normal((12001, 3))
+    done = threading.Event()
+    failures = []
+
+    def read():
+        while not done.is_set():
+            try:
+                validate_view(tree.snapshot())
+            except ValueError as exc:
+                failures.append(exc)
+
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for reader in readers:
+            reader.start()
+        tree.push_rows(rows)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+        for reader in readers:
+            reader.join(timeout=30)
+    assert not any(reader.is_alive() for reader in readers)
+    assert failures == []
+    assert tree.points_seen == rows.shape[0]
 
 
 def test_identical_streams_build_identical_trees():
