@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from itertools import chain
 
 import numpy as np
 
@@ -157,13 +158,52 @@ def read_features(path: str) -> DataBlock:
     return _read_features_text(path)
 
 
+# Stands in a document for a matrix that _write_json writes row by row.
+_MATRIX = "\x00matrix"
+
+
+def _write_json(path: str, doc: dict, matrices: list[np.ndarray]) -> None:
+    """Write the bytes json.dump(doc, fh, indent=2) and a newline would
+    if the i-th _MATRIX mark in doc were matrices[i] as a nested list.
+
+    The indented encoder is pure Python, so it only lays out the small
+    skeleton; each matrix row goes through the C encoder and is re-laid
+    one number per line, so no string of the whole file is ever built.
+    """
+    pieces = json.dumps(doc, indent=2).split(json.dumps(_MATRIX))
+    with open(path, "w", encoding="ascii") as fh:
+        for before, matrix in zip(pieces[:-1], matrices, strict=True):
+            fh.write(before)
+            line = before[before.rfind("\n") + 1 :]
+            _write_matrix(fh, matrix, " " * (len(line) - len(line.lstrip(" "))))
+        fh.write(pieces[-1])
+        fh.write("\n")
+
+
+def _write_matrix(fh, matrix: np.ndarray, pad: str) -> None:
+    if matrix.shape[0] == 0:
+        fh.write("[]")
+        return
+    row_open = "\n" + pad + "  [\n" + pad + "    "
+    between = ",\n" + pad + "    "
+    row_close = "\n" + pad + "  ]"
+    fh.write("[")
+    for i, row in enumerate(matrix):
+        if i:
+            fh.write(",")
+        fh.write(row_open)
+        fh.write(json.dumps(row.tolist())[1:-1].replace(", ", between))
+        fh.write(row_close)
+    fh.write("\n" + pad + "]")
+
+
 def _block_to_dict(cb: CoresetBlock) -> dict:
     return {
         "rows": cb.block.rows,
         "dim": cb.block.dim,
         "c": cb.c,
         "source_rows": cb.source_rows,
-        "values": cb.block.values.tolist(),
+        "values": _MATRIX,
     }
 
 
@@ -175,9 +215,21 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_matrix(raw, what: str) -> np.ndarray:
+    """raw as a float array if it is a list of lists of JSON numbers;
+    strings, booleans and deeper nesting raise TypeError instead of
+    being coerced."""
+    if type(raw) is not list or not all(type(row) is list for row in raw):
+        raise TypeError(f"{what} must be a list of rows")
+    if not set(map(type, chain.from_iterable(raw))) <= {int, float}:
+        bad = next(x for row in raw for x in row if type(x) not in (int, float))
+        raise TypeError(f"{what} entries must be JSON numbers, got {bad!r}")
+    return np.array(raw, dtype=float)
+
+
 def _block_from_dict(raw: dict, where: str) -> CoresetBlock:
     try:
-        values = np.array(raw["values"], dtype=float)
+        values = _json_matrix(raw["values"], "values")
         if type(raw["c"]) not in (int, float):
             raise TypeError(f"c must be a JSON number, got {raw['c']!r}")
         block = CoresetBlock(
@@ -199,9 +251,7 @@ def _block_from_dict(raw: dict, where: str) -> CoresetBlock:
 def write_coreset(path: str, cb: CoresetBlock) -> None:
     doc = {"format": BLOCK_FORMAT, "version": 1}
     doc.update(_block_to_dict(cb))
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc, [cb.block.values])
 
 
 def read_coreset(path: str) -> CoresetBlock:
@@ -233,11 +283,10 @@ def write_snapshot(path: str, view: TreeView) -> None:
             }
             for node in view.nodes
         ],
-        "pending": np.asarray(view.pending, dtype=float).tolist(),
+        "pending": _MATRIX,
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    matrices = [node.summary.block.values for node in view.nodes]
+    _write_json(path, doc, matrices + [np.asarray(view.pending, dtype=float)])
 
 
 def read_snapshot(path: str) -> TreeView:
@@ -257,7 +306,7 @@ def read_snapshot(path: str) -> TreeView:
             )
             for raw in doc["nodes"]
         )
-        pending = np.array(doc["pending"], dtype=float)
+        pending = _json_matrix(doc["pending"], "pending")
         if pending.size == 0:
             pending = np.zeros((0, _json_int(doc["dim"], "dim")))
         pending.setflags(write=False)

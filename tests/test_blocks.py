@@ -1,5 +1,7 @@
 """Tests for the SVD compression primitive and its error bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +202,86 @@ def test_svd_truncate_refuses_rows_that_overflow():
             svd_truncate(huge, 2)
         with pytest.raises(ValueError, match="overflow"):
             reduce_block(DataBlock(huge), 2)
+
+
+def svd_reference(values: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """svd_truncate's contract computed by np.linalg.svd alone."""
+    _, s, vt = np.linalg.svd(values, full_matrices=False)
+    kept = vt[: min(n, s.shape[0])].copy()
+    peak = np.argmax(np.abs(kept), axis=1)
+    signs = np.sign(kept[np.arange(kept.shape[0]), peak])
+    signs[signs == 0.0] = 1.0
+    rows = (s[: kept.shape[0]] * signs)[:, None] * kept
+    if not np.isfinite(rows).all():
+        raise ValueError("singular rows overflowed")
+    return rows, float(np.sum(s[n:] ** 2))
+
+
+def test_svd_truncate_gram_path_agrees_with_the_svd(monkeypatch):
+    # ingest-wide's merge shape: 256x256 cut to 128 rows, decaying spectrum.
+    a = known_spectrum(256, 256, 0.97 ** np.arange(256), seed=21)
+    want_rows, want_tail = svd_reference(a, 128)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the Gram path should not call the SVD here")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rows, tail = svd_truncate(a, 128)
+    assert rows.shape == (128, 256)
+    assert abs(tail - want_tail) <= 1e-12 * want_tail
+    energy, want_energy = np.sum(rows**2, axis=1), np.sum(want_rows**2, axis=1)
+    assert np.max(np.abs(energy - want_energy)) <= 1e-14 * want_energy[0]
+    assert np.all(rows[np.arange(128), np.argmax(np.abs(rows), axis=1)] > 0.0)
+
+
+@pytest.mark.parametrize(
+    "values, n",
+    [
+        (known_spectrum(40, 20, [5.0, 3.0, 1.0], seed=8), 8),  # negligible tail
+        (np.random.default_rng(9).standard_normal((30, 6)), 8),  # dim <= n
+        (np.random.default_rng(10).standard_normal((6, 20)), 3),  # rows < dim
+    ],
+)
+def test_svd_truncate_falls_back_to_the_svd_bit_for_bit(values, n):
+    rows, tail = svd_truncate(values, n)
+    want_rows, want_tail = svd_reference(values, n)
+    assert np.array_equal(rows, want_rows)
+    assert tail == want_tail
+
+
+def test_svd_truncate_gram_tail_stays_an_upper_bound_at_rank_deficiency():
+    # Rank 4 in dim 6: the two null eigenvalues of the Gram matrix come
+    # out at roundoff, possibly negative, and must be clipped, not rooted.
+    a = known_spectrum(8, 6, [4.0, 2.0, 1.0, 0.5], seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, tail = svd_truncate(a, 2)
+    assert np.all(np.isfinite(rows))
+    assert tail >= 1.25 - 1e-12 * 16.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        1e155 * np.random.default_rng(12).standard_normal((8, 4)),
+        np.full((6, 3), 1e155),
+        np.full((4, 2), 1e308),
+        1e308 * np.random.default_rng(13).uniform(-1.0, 1.0, (8, 4)),
+    ],
+)
+def test_svd_truncate_where_the_gram_overflows_matches_the_svd(values):
+    # Either both raise the same ValueError (from the kernel, or from a
+    # summary refusing an infinite tail) or both return the same bits.
+    def outcome(truncate):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                rows, tail = truncate(values, 1)
+                CoresetBlock(block=DataBlock(rows), c=tail, source_rows=values.shape[0])
+            except ValueError as exc:
+                return str(exc)
+        return rows.tobytes(), tail
+
+    assert outcome(svd_truncate) == outcome(svd_reference)
 
 
 def test_concat_blocks_dimension_mismatch():

@@ -310,20 +310,18 @@ def test_snapshot_reader_rejects_non_finite_pending_rows(tmp_path, value):
         io.read_snapshot(tampered_snapshot(tmp_path, tamper))
 
 
-def test_snapshot_and_block_files_are_indented_json(tmp_path):
-    import json
+def block_doc(cb: CoresetBlock) -> dict:
+    return {
+        "rows": cb.block.rows,
+        "dim": cb.block.dim,
+        "c": cb.c,
+        "source_rows": cb.source_rows,
+        "values": [[float(x) for x in row] for row in cb.block.values],
+    }
 
-    def block_doc(cb):
-        return {
-            "rows": cb.block.rows,
-            "dim": cb.block.dim,
-            "c": cb.c,
-            "source_rows": cb.source_rows,
-            "values": [[float(x) for x in row] for row in cb.block.values],
-        }
 
-    view = grown_tree(7 * 4 + 3, 4, dim=5).snapshot()
-    doc = {
+def snapshot_doc(view) -> dict:
+    return {
         "format": "coreset-tree-snapshot",
         "version": 1,
         "n": view.n,
@@ -338,15 +336,52 @@ def test_snapshot_and_block_files_are_indented_json(tmp_path):
         ],
         "pending": [[float(x) for x in row] for row in view.pending],
     }
+
+
+@pytest.mark.parametrize(
+    "n, dim, points",
+    [(4, 5, 31), (128, 256, 3109), (64, 16, 849), (32, 64, 6413), (8, 4, 64), (1, 2, 37), (4, 3, 0)],
+)
+def test_snapshot_and_block_files_are_indented_json(tmp_path, n, dim, points):
+    # The writer encodes matrices row by row; its bytes must still be
+    # exactly what json.dump(..., indent=2) writes, with or without
+    # pending rows and nodes.
+    rng = np.random.default_rng(n + dim)
+    tree = CoresetTree(n, dim)
+    tree.push_rows(rng.standard_normal((points, dim)) * 0.97 ** np.arange(dim))
+    view = tree.snapshot()
     path = tmp_path / "snap.json"
     io.write_snapshot(str(path), view)
-    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert path.read_bytes() == (json.dumps(snapshot_doc(view), indent=2) + "\n").encode()
+    for node in view.nodes[:1]:
+        io.write_coreset(str(path), node.summary)
+        want = {"format": "coreset-block", "version": 1, **block_doc(node.summary)}
+        assert path.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
 
-    summary = view.nodes[0].summary
+
+@pytest.mark.parametrize("value", ["0.054", True, [0.5]])
+@pytest.mark.parametrize("where", ["nodes", "pending"])
+def test_snapshot_reader_rejects_non_number_matrix_entries(tmp_path, where, value):
+    # np.array(..., dtype=float) would read "0.054" as 0.054 and true as
+    # 1.0; a tampered matrix entry must be refused, not coerced.
+    def tamper(doc):
+        matrix = doc["nodes"][0]["values"] if where == "nodes" else doc["pending"]
+        matrix[0][0] = value
+
+    with pytest.raises(FormatError, match="bad snapshot"):
+        io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
+@pytest.mark.parametrize("value", ["0.054", True, [0.5]])
+def test_coreset_reader_rejects_non_number_entries(tmp_path, value):
     path = tmp_path / "block.json"
-    io.write_coreset(str(path), summary)
-    want = {"format": "coreset-block", "version": 1, **block_doc(summary)}
-    assert path.read_text() == json.dumps(want, indent=2) + "\n"
+    cb = grown_tree(23, 4).snapshot().nodes[0].summary
+    io.write_coreset(str(path), cb)
+    doc = json.loads(path.read_text())
+    doc["values"][1][2] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="bad summary block"):
+        io.read_coreset(str(path))
 
 
 def test_telemetry_csv_shape_and_totals(tmp_path):
