@@ -28,20 +28,21 @@ from .tree import CoresetTree
 
 @dataclass(frozen=True)
 class StreamBenchRow:
-    """Tree behavior at one stream length."""
+    """Tree behavior at one stream length; fields in CSV column order."""
 
     points: int
     leaves: int
     merges: int
-    max_live_nodes: int
     mean_merges_per_push: float
     amortized_push_seconds: float
+    max_live_nodes: int
     live_bound: int
 
 
 @dataclass(frozen=True)
 class SvmBenchRow:
-    """Training cost at one stream length: bounded sample vs all rows."""
+    """Training cost at one stream length: bounded sample vs all rows;
+    fields in CSV column order."""
 
     points: int
     sample_rows: int

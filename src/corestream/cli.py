@@ -15,7 +15,7 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from importlib import resources
 
 from . import bench, io
@@ -91,10 +91,13 @@ def _int_list(text: str, what: str) -> list[int]:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     block = io.read_features(args.infile)
-    if args.epsilon_k >= block.dim:
+    if not 1 <= args.epsilon_k < block.dim:
         raise CommandError(
-            f"--epsilon-k {args.epsilon_k} must be below the data dimension {block.dim}"
+            f"--epsilon-k {args.epsilon_k} must be at least 1 and below the data "
+            f"dimension {block.dim}"
         )
+    if args.trials < 1:
+        raise CommandError(f"--trials must be at least 1, got {args.trials}")
     seed = _effective_seed(args.seed)
     _print_seed(seed)
     summary = reduce_block(block, args.n)
@@ -110,13 +113,13 @@ def cmd_tree_build(args: argparse.Namespace) -> int:
     block = io.read_features(args.infile)
     tree = CoresetTree(args.n, block.dim)
     records = []
+    merges = 0
     for row in block.values:
         start = time.perf_counter()
         report = tree.push_point(row)
         seconds = time.perf_counter() - start
-        records.append(
-            (len(report.merged_levels), tree.merge_count, tree.live_node_count(), seconds)
-        )
+        merges += len(report.merged_levels)
+        records.append((len(report.merged_levels), merges, tree.live_node_count(), seconds))
     io.write_snapshot(args.snapshot_out, tree.snapshot())
     io.write_telemetry(args.telemetry_out, records)
     print(f"points: {tree.points_seen}")
@@ -135,6 +138,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 "stream with --features"
             )
         history = io.read_features(args.features)
+        if (history.dim, history.rows) != (view.dim, view.points_seen):
+            raise CommandError(
+                f"--features holds {history.rows} rows of dim {history.dim}, but the "
+                f"snapshot saw {view.points_seen} rows of dim {view.dim}"
+            )
         if args.mode == "random":
             seed = _effective_seed(args.seed)
             _print_seed(seed)
@@ -176,53 +184,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     grid = _int_list(args.grid, "--grid")
     seed = _effective_seed(args.seed)
     _print_seed(seed)
+    if args.mode in ("time", "space"):
+        rows = [bench.stream_bench(points, args.n, args.dim, seed) for points in grid]
+    else:
+        params = _train_params(args)
+        rows = [bench.svm_time_bench(points, args.n, args.dim, seed, params) for points in grid]
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        if args.mode in ("time", "space"):
-            writer.writerow(
-                [
-                    "points",
-                    "leaves",
-                    "merges",
-                    "mean_merges_per_push",
-                    "amortized_push_seconds",
-                    "max_live_nodes",
-                    "live_bound",
-                ]
-            )
-            for points in grid:
-                row = bench.stream_bench(points, args.n, args.dim, seed)
-                writer.writerow(
-                    [
-                        row.points,
-                        row.leaves,
-                        row.merges,
-                        repr(row.mean_merges_per_push),
-                        repr(row.amortized_push_seconds),
-                        row.max_live_nodes,
-                        row.live_bound,
-                    ]
-                )
-                if args.mode == "space" and row.max_live_nodes > row.live_bound:
-                    print(
-                        f"warning: p={row.points} live nodes {row.max_live_nodes} "
-                        f"exceed bound {row.live_bound}"
-                    )
-        else:
-            writer.writerow(
-                ["points", "sample_rows", "sample_train_seconds", "full_train_seconds"]
-            )
-            for points in grid:
-                row = bench.svm_time_bench(
-                    points, args.n, args.dim, seed, _train_params(args)
-                )
-                writer.writerow(
-                    [
-                        row.points,
-                        row.sample_rows,
-                        repr(row.sample_train_seconds),
-                        repr(row.full_train_seconds),
-                    ]
+        writer.writerow([field.name for field in fields(rows[0])])
+        writer.writerows(astuple(row) for row in rows)
+    if args.mode == "space":
+        for row in rows:
+            if row.max_live_nodes > row.live_bound:
+                print(
+                    f"warning: p={row.points} live nodes {row.max_live_nodes} "
+                    f"exceed bound {row.live_bound}"
                 )
     print(f"rows: {len(grid)}")
     return 0

@@ -26,6 +26,8 @@ from .tree import CoresetNode, TreeView, validate_view
 MAGIC = b"CSTK"
 BINARY_VERSION = 1
 SNAPSHOT_FORMAT = "coreset-tree-snapshot"
+# Snapshot keys a reader recomputes from leaves_seen and the pending rows.
+_DERIVED_COUNTERS = ("points_seen", "merge_count", "max_live_nodes")
 BLOCK_FORMAT = "coreset-block"
 
 TELEMETRY_COLUMNS = (
@@ -265,6 +267,17 @@ def read_coreset(path: str) -> CoresetBlock:
     return _block_from_dict(doc, path)
 
 
+def _node_from_dict(raw: dict, where: str) -> CoresetNode:
+    span = raw["span"]
+    if type(span) is not list or len(span) != 2:
+        raise TypeError(f"span must be a [first, last] pair, got {span!r}")
+    return CoresetNode(
+        level=_json_int(raw["level"], "level"),
+        summary=_block_from_dict(raw, where),
+        span=(_json_int(span[0], "span"), _json_int(span[1], "span")),
+    )
+
+
 def write_snapshot(path: str, view: TreeView) -> None:
     doc = {
         "format": SNAPSHOT_FORMAT,
@@ -298,16 +311,9 @@ def read_snapshot(path: str) -> TreeView:
     if doc.get("format") != SNAPSHOT_FORMAT:
         raise FormatError(f"{path}: not a {SNAPSHOT_FORMAT} document")
     try:
-        nodes = tuple(
-            CoresetNode(
-                level=_json_int(raw["level"], "level"),
-                summary=_block_from_dict(raw, path),
-                span=(_json_int(raw["span"][0], "span"), _json_int(raw["span"][1], "span")),
-            )
-            for raw in doc["nodes"]
-        )
+        nodes = tuple(_node_from_dict(raw, path) for raw in doc["nodes"])
         pending = _json_matrix(doc["pending"], "pending")
-        if pending.size == 0:
+        if pending.shape[0] == 0:
             pending = np.zeros((0, _json_int(doc["dim"], "dim")))
         pending.setflags(write=False)
         view = TreeView(
@@ -315,17 +321,22 @@ def read_snapshot(path: str) -> TreeView:
             dim=_json_int(doc["dim"], "dim"),
             nodes=nodes,
             pending=pending,
-            points_seen=_json_int(doc["points_seen"], "points_seen"),
             leaves_seen=_json_int(doc["leaves_seen"], "leaves_seen"),
-            merge_count=_json_int(doc["merge_count"], "merge_count"),
-            max_live_nodes=_json_int(doc["max_live_nodes"], "max_live_nodes"),
         )
+        # The file stores the derived counters too; they must agree.
+        stored = {key: _json_int(doc[key], key) for key in _DERIVED_COUNTERS}
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: bad snapshot document: {exc}") from None
     try:
         validate_view(view)
     except ValueError as exc:
         raise FormatError(f"{path}: inconsistent snapshot: {exc}") from None
+    for key, value in stored.items():
+        if value != getattr(view, key):
+            raise FormatError(
+                f"{path}: inconsistent snapshot: stored {key} {value} != {getattr(view, key)} "
+                f"derived from leaves_seen {view.leaves_seen}"
+            )
     return view
 
 

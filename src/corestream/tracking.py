@@ -427,11 +427,6 @@ def track_stream(
     records: list[FrameRecord] = []
     bootstrap_frames = 0
 
-    def push_rows(rows: np.ndarray) -> bool:
-        if history is not None:
-            history.extend(rows)
-        return tree.push_rows(rows) > 0
-
     def on_leaf() -> None:
         nonlocal model, model_points, noise
         if tree.leaves_seen % tracker.em_every == 0 and len(centers) >= 4:
@@ -441,59 +436,45 @@ def track_stream(
     for frame in frames:
         if model is None:
             bootstrap_frames = frame.index + 1
+            chosen, score, position = frame.truth_index, float("nan"), frame.truth_position
             truth_feat = frame.features[frame.truth_index]
             jitter = jitter_rng.standard_normal((config.jitter_copies, config.dim))
             rows = np.vstack([truth_feat, truth_feat + config.jitter_scale * jitter])
-            centers.append(frame.truth_position.copy())
-            leaf = push_rows(rows)
-            records.append(
-                FrameRecord(
-                    index=frame.index,
-                    chosen=frame.truth_index,
-                    score=float("nan"),
-                    estimate=(float(frame.truth_position[0]), float(frame.truth_position[1])),
-                    correct=True,
-                    model_points=-1,
-                )
-            )
-            if leaf:
-                on_leaf()
-                state = _initial_kalman(list(centers))
-            continue
-
-        threshold = dp.threshold if dp.threshold is not None else model.threshold
-        found = detect(model, frame, threshold, radius)
-        points_behind = model_points
-        state = kalman_predict(state, noise)
-        if found is None:
-            records.append(
-                FrameRecord(
-                    index=frame.index,
-                    chosen=-1,
-                    score=float("nan"),
-                    estimate=(float(state.position[0]), float(state.position[1])),
-                    correct=False,
-                    model_points=points_behind,
-                )
-            )
-            continue
-        state = kalman_update(state, found.position, noise)
-        centers.append(found.position.copy())
-        correct = found.index == frame.truth_index or (
-            float(np.linalg.norm(found.position - frame.truth_position)) <= tolerance
+            estimate = position
+        else:
+            threshold = dp.threshold if dp.threshold is not None else model.threshold
+            found = detect(model, frame, threshold, radius)
+            state = kalman_predict(state, noise)
+            if found is None:
+                chosen, score, position, rows = -1, float("nan"), None, None
+            else:
+                state = kalman_update(state, found.position, noise)
+                chosen, score, position = found.index, found.score, found.position
+                rows = found.feature[None]
+            estimate = state.position
+        correct = chosen == frame.truth_index or (
+            position is not None
+            and float(np.linalg.norm(position - frame.truth_position)) <= tolerance
         )
         records.append(
             FrameRecord(
                 index=frame.index,
-                chosen=found.index,
-                score=found.score,
-                estimate=(float(state.position[0]), float(state.position[1])),
+                chosen=chosen,
+                score=score,
+                estimate=(float(estimate[0]), float(estimate[1])),
                 correct=correct,
-                model_points=points_behind,
+                model_points=model_points,
             )
         )
-        if push_rows(found.feature[None]):
+        if rows is None:
+            continue
+        centers.append(position.copy())
+        if history is not None:
+            history.extend(rows)
+        if tree.push_rows(rows):
             on_leaf()
+            if state is None:
+                state = _initial_kalman(list(centers))
 
     run = TrackRun(
         records=tuple(records),

@@ -6,7 +6,9 @@ they are concatenated and compressed back to n rows, forming one entry
 a level higher.  The stack therefore holds at most one entry per level
 and mirrors a binary counter over the number of leaves seen: after L
 leaves exactly popcount(L) entries are live and exactly
-L - popcount(L) compressions have run.
+L - popcount(L) compressions have run.  So only L is stored:
+points_seen, merge_count and max_live_nodes are worked out from L and
+the pending row count, for the tree and its views alike (_Counters).
 """
 
 from __future__ import annotations
@@ -33,23 +35,43 @@ class CoresetNode:
     span: tuple[int, int]
 
 
+class _Counters:
+    """Counters the tree and its views work out from their n,
+    leaves_seen and _pending_rows()."""
+
+    @property
+    def points_seen(self) -> int:
+        return self.leaves_seen * self.n + self._pending_rows()
+
+    @property
+    def merge_count(self) -> int:
+        return self.leaves_seen - self.leaves_seen.bit_count()
+
+    @property
+    def max_live_nodes(self) -> int:
+        # Leaf l arrives beside popcount(l - 1) live nodes, and the largest
+        # popcount(l - 1) + 1 over l <= L is the bit length of L.
+        return self.leaves_seen.bit_length()
+
+
 @dataclass(frozen=True, eq=False)
-class TreeView:
+class TreeView(_Counters):
     """Immutable picture of a tree at one instant.
 
     nodes are ordered bottom to top, oldest first, with strictly
     decreasing levels.  pending holds the rows buffered toward the next
-    leaf (possibly zero of them), newest last.
+    leaf (possibly zero of them), newest last.  points_seen, merge_count
+    and max_live_nodes are derived from leaves_seen and the pending rows.
     """
 
     n: int
     dim: int
     nodes: tuple[CoresetNode, ...]
     pending: np.ndarray
-    points_seen: int
     leaves_seen: int
-    merge_count: int
-    max_live_nodes: int
+
+    def _pending_rows(self) -> int:
+        return self.pending.shape[0]
 
 
 @dataclass(frozen=True)
@@ -79,7 +101,7 @@ def _merge(older: CoresetBlock, newer: CoresetBlock, n: int) -> CoresetBlock:
     return CoresetBlock(block=DataBlock._trusted(rows), c=cat.c + tail, source_rows=cat.source_rows)
 
 
-class CoresetTree:
+class CoresetTree(_Counters):
     """Single-writer summary stack with bounded memory.
 
     push_point and push_rows must be called from one thread at a time;
@@ -100,33 +122,20 @@ class CoresetTree:
         self._stack: list[CoresetNode] = []
         self._leaf = np.empty((n, dim))
         self._fill = 0
-        self._points_seen = 0
         self._leaves_seen = 0
-        self._merge_count = 0
-        self._max_live_nodes = 0
         self._lock = threading.Lock()
-
-    @property
-    def points_seen(self) -> int:
-        return self._points_seen
 
     @property
     def leaves_seen(self) -> int:
         return self._leaves_seen
-
-    @property
-    def merge_count(self) -> int:
-        return self._merge_count
-
-    @property
-    def max_live_nodes(self) -> int:
-        return self._max_live_nodes
 
     def live_node_count(self) -> int:
         return len(self._stack)
 
     def pending_count(self) -> int:
         return self._fill
+
+    _pending_rows = pending_count
 
     def push_point(self, row: np.ndarray) -> MergeReport:
         """Append one stream row, forming and merging leaves as needed."""
@@ -165,12 +174,10 @@ class CoresetTree:
             self._leaf[self._fill : fill] = part
             if fill < self.n:
                 self._fill = fill
-                self._points_seen += k
                 return _NO_LEAF
             # The leaf's last row counts once its merges succeed, so a merge
             # that raises leaves the rows before it pending, as per-row pushes do.
             self._fill = fill - 1
-            self._points_seen += k - 1
             return self._absorb_leaf()
 
     def _absorb_leaf(self) -> MergeReport:
@@ -179,13 +186,13 @@ class CoresetTree:
         Nothing is committed until every merge has succeeded, so a merge
         that raises leaves the tree as it was before the leaf's last row.
         """
-        points = self._points_seen + 1
+        first = self._leaves_seen * self.n
         leaf = CoresetBlock(
             block=DataBlock._trusted(self._leaf.copy()),
             c=0.0,
             source_rows=self.n,
         )
-        node = CoresetNode(level=0, summary=leaf, span=(points - self.n, points))
+        node = CoresetNode(level=0, summary=leaf, span=(first, first + self.n))
         keep = len(self._stack)
         merged: list[int] = []
         while keep and self._stack[keep - 1].level == node.level:
@@ -197,15 +204,10 @@ class CoresetTree:
                 span=(older.span[0], node.span[1]),
             )
             merged.append(older.level)
-        # High-water mark includes the instant the new leaf sits beside
-        # its same-level sibling, which is the true memory peak of a push.
-        self._max_live_nodes = max(self._max_live_nodes, len(self._stack) + 1)
         del self._stack[keep:]
         self._stack.append(node)
         self._fill = 0
-        self._points_seen = points
         self._leaves_seen += 1
-        self._merge_count += len(merged)
         return MergeReport(leaf_formed=True, merged_levels=tuple(merged))
 
     def snapshot(self) -> TreeView:
@@ -218,10 +220,7 @@ class CoresetTree:
                 dim=self.dim,
                 nodes=tuple(self._stack),
                 pending=pending,
-                points_seen=self._points_seen,
                 leaves_seen=self._leaves_seen,
-                merge_count=self._merge_count,
-                max_live_nodes=self._max_live_nodes,
             )
 
     def root_collapse(self) -> CoresetBlock:
@@ -263,19 +262,9 @@ def validate_view(view: TreeView) -> None:
     for lower, upper in zip(levels, levels[1:]):
         if upper >= lower:
             raise ValueError(f"stack levels must strictly decrease, got {levels}")
-    live = bin(view.leaves_seen).count("1")
-    if len(view.nodes) != live:
+    if len(view.nodes) != view.leaves_seen.bit_count():
         raise ValueError(f"live nodes {len(view.nodes)} != popcount of leaves {view.leaves_seen}")
-    if view.merge_count != view.leaves_seen - live:
-        raise ValueError(
-            f"merge_count {view.merge_count} != leaves {view.leaves_seen} - popcount {live}"
-        )
-    if view.max_live_nodes != view.leaves_seen.bit_length():
-        raise ValueError(
-            f"max_live_nodes {view.max_live_nodes} != bit length of leaves {view.leaves_seen}"
-        )
     covered = 0
-    prev_last = None
     for node in view.nodes:
         first, last = node.span
         if last - first != view.n * (1 << node.level):
@@ -283,10 +272,9 @@ def validate_view(view: TreeView) -> None:
                 f"node at level {node.level} spans {last - first} rows, "
                 f"expected {view.n * (1 << node.level)}"
             )
-        if prev_last is not None and first != prev_last:
-            raise ValueError("node spans must tile the stream contiguously")
-        prev_last = last
-        covered += last - first
+        if first != covered:
+            raise ValueError("node spans must tile the stream contiguously from row 0")
+        covered = last
         if node.summary.block.dim != view.dim:
             raise ValueError(f"node summary has dim {node.summary.block.dim}, view has {view.dim}")
         if node.summary.block.rows > view.n:
@@ -301,10 +289,5 @@ def validate_view(view: TreeView) -> None:
         raise ValueError("pending rows must be finite")
     if view.pending.shape[0] >= view.n:
         raise ValueError("pending buffer must stay below one leaf")
-    if covered + view.pending.shape[0] != view.points_seen:
-        raise ValueError(
-            f"covered {covered} + pending {view.pending.shape[0]} "
-            f"!= points_seen {view.points_seen}"
-        )
     if view.leaves_seen * view.n != covered:
         raise ValueError("leaves_seen disagrees with covered span")

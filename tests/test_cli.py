@@ -113,6 +113,17 @@ def test_reduce_rejects_epsilon_k_at_dimension(tmp_path):
     assert "epsilon-k" in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--epsilon-k", "--trials"])
+def test_reduce_checks_its_probe_flags_before_writing(tmp_path, flag):
+    infile = str(tmp_path / "feat.txt")
+    write_rank2_features(infile, dim=4)
+    out = tmp_path / "o"
+    result = run_cli("reduce", "--in", infile, "--n", "2", "--out", str(out), flag, "0")
+    assert result.returncode == 2
+    assert flag in result.stderr
+    assert not out.exists()
+
+
 def test_tree_build_reports_counter_facts(tmp_path):
     n = 4
     infile = str(tmp_path / "feat.txt")
@@ -217,6 +228,30 @@ def test_sample_modes_and_random_determinism(tmp_path):
     )
     assert missing.returncode == 2
     assert "--features" in missing.stderr
+
+
+@pytest.mark.parametrize("shape", [(26, 7), (25, 3)], ids=["wrong-dim", "wrong-rows"])
+def test_sample_refuses_features_that_do_not_match_the_snapshot(tmp_path, shape):
+    n = 4
+    infile = str(tmp_path / "feat.txt")
+    io.write_features(infile, DataBlock(np.random.default_rng(4).standard_normal((26, 3))))
+    snap = str(tmp_path / "snap.json")
+    run_cli(
+        "tree-build", "--in", infile, "--n", str(n),
+        "--snapshot-out", snap, "--telemetry-out", str(tmp_path / "t.csv"),
+    )
+    other = str(tmp_path / "other.txt")
+    io.write_features(other, DataBlock(np.random.default_rng(5).standard_normal(shape)))
+    for mode in ("random", "subsample"):
+        out = tmp_path / f"{mode}.csv"
+        result = run_cli(
+            "sample", "--snapshot", snap, "--mode", mode, "--features", other,
+            "--seed", "9", "--out", str(out),
+        )
+        assert result.returncode == 2
+        assert f"{shape[0]} rows of dim {shape[1]}" in result.stderr
+        assert "26 rows of dim 3" in result.stderr
+        assert not out.exists()
 
 
 def test_sample_rejects_unknown_mode(tmp_path):

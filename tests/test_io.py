@@ -301,6 +301,33 @@ def test_snapshot_reader_rejects_pending_of_the_wrong_dim(tmp_path):
         io.read_snapshot(tampered_snapshot(tmp_path, tamper))
 
 
+@pytest.mark.parametrize("pending", [[[]], [[], []]])
+def test_snapshot_reader_rejects_empty_pending_rows(tmp_path, pending):
+    # Zero-width rows are rows of the wrong width, not zero pending rows.
+    def tamper(doc):
+        doc["pending"] = pending
+
+    with pytest.raises(FormatError, match="pending has shape"):
+        io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
+def test_snapshot_reader_rejects_a_span_that_is_not_a_pair(tmp_path):
+    def tamper(doc):
+        doc["nodes"][0]["span"].append(999)
+
+    with pytest.raises(FormatError, match="span must be a"):
+        io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
+def test_snapshot_reader_rejects_spans_that_do_not_start_at_row_0(tmp_path):
+    def tamper(doc):
+        for node in doc["nodes"]:
+            node["span"] = [node["span"][0] + 7, node["span"][1] + 7]
+
+    with pytest.raises(FormatError, match="from row 0"):
+        io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_snapshot_reader_rejects_non_finite_pending_rows(tmp_path, value):
     def tamper(doc):

@@ -130,6 +130,26 @@ def test_counter_identities_across_many_leaves():
         assert tree.merge_count == leaf - bin(leaf).count("1")
 
 
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(points=st.integers(0, 100), n=st.integers(1, 5), seed=st.integers(0, 100))
+def test_derived_counters_match_counts_kept_by_the_caller(points, n, seed):
+    # The tree derives its counters from leaves_seen; this test counts
+    # rows, merges and the live-node peak itself, one push at a time.
+    tree = CoresetTree(n, 2)
+    merges = peak = 0
+    for pushed, row in enumerate(np.random.default_rng(seed).standard_normal((points, 2)), 1):
+        live_before = tree.live_node_count()
+        report = tree.push_point(row)
+        merges += len(report.merged_levels)
+        if report.leaf_formed:
+            peak = max(peak, live_before + 1)
+        assert tree.points_seen == pushed
+        assert tree.merge_count == merges
+        assert tree.max_live_nodes == peak
+        view = tree.snapshot()
+        assert (view.points_seen, view.merge_count, view.max_live_nodes) == (pushed, merges, peak)
+
+
 def test_burst_at_power_of_two_leaves():
     tree = CoresetTree(2, 3)
     bursts = {}
@@ -178,10 +198,7 @@ def test_validate_view_catches_corruption():
         dim=good.dim,
         nodes=good.nodes,
         pending=good.pending,
-        points_seen=good.points_seen + 1,
-        leaves_seen=good.leaves_seen,
-        merge_count=good.merge_count,
-        max_live_nodes=good.max_live_nodes,
+        leaves_seen=good.leaves_seen + 1,
     )
     with pytest.raises(ValueError):
         validate_view(bad)
@@ -190,10 +207,7 @@ def test_validate_view_catches_corruption():
         dim=good.dim,
         nodes=good.nodes[::-1],
         pending=good.pending,
-        points_seen=good.points_seen,
         leaves_seen=good.leaves_seen,
-        merge_count=good.merge_count,
-        max_live_nodes=good.max_live_nodes,
     )
     with pytest.raises(ValueError):
         validate_view(bad)
