@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import DataBlock
 from .sampling import hierarchical_sample, random_sample
 from .svm import TrainParams, train_one_class
 from .tracking import (
     DetectParams,
+    SAMPLER_MODES,
     SyntheticStreamConfig,
     TrackerParams,
     generate_stream,
@@ -97,7 +97,7 @@ def svm_time_bench(
     train_one_class(sample, train_params)
     sample_seconds = time.perf_counter() - start
 
-    everything = random_sample(DataBlock(rows), points, seed)
+    everything = random_sample(rows, points, seed)
     start = time.perf_counter()
     train_one_class(everything, train_params)
     full_seconds = time.perf_counter() - start
@@ -129,7 +129,7 @@ def compare_samplers(
         for seed in seeds:
             cfg = replace(config, seed=seed)
             frames = generate_stream(cfg)
-            for mode in ("hierarchical", "root", "random", "subsample"):
+            for mode in SAMPLER_MODES:
                 run = track_stream(
                     frames,
                     cfg,

@@ -20,7 +20,6 @@ from importlib import resources
 
 from . import bench, io
 from .blocks import measure_epsilon, reduce_block
-from .sampling import hierarchical_sample, random_sample, root_sample, subsample
 from .svm import TrainParams
 from .tracking import (
     DetectParams,
@@ -28,6 +27,7 @@ from .tracking import (
     SyntheticStreamConfig,
     TrackerParams,
     config_from_dict,
+    draw_sample,
     generate_stream,
     track_stream,
 )
@@ -77,6 +77,10 @@ def _train_params(args: argparse.Namespace) -> TrainParams:
         iterations=args.iters,
         nu=args.nu,
     )
+
+
+def _detect_params(args: argparse.Namespace) -> DetectParams:
+    return DetectParams(threshold=args.threshold, radius=args.radius)
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -131,30 +135,24 @@ def cmd_tree_build(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     view = io.read_snapshot(args.snapshot)
+    history = seed = None
     if args.mode in ("random", "subsample"):
         if args.features is None:
             raise CommandError(
                 f"--mode {args.mode} samples from raw history; pass the original "
                 "stream with --features"
             )
-        history = io.read_features(args.features)
-        if (history.dim, history.rows) != (view.dim, view.points_seen):
+        features = io.read_features(args.features)
+        if (features.dim, features.rows) != (view.dim, view.points_seen):
             raise CommandError(
-                f"--features holds {history.rows} rows of dim {history.dim}, but the "
+                f"--features holds {features.rows} rows of dim {features.dim}, but the "
                 f"snapshot saw {view.points_seen} rows of dim {view.dim}"
             )
-        if args.mode == "random":
-            seed = _effective_seed(args.seed)
-            _print_seed(seed)
-            sample = random_sample(history, view.n, seed)
-        else:
-            sample = subsample(history, view.n)
-    elif args.mode == "hierarchical":
-        sample = hierarchical_sample(view)
-    elif args.mode == "root":
-        sample = root_sample(view)
-    else:  # pragma: no cover - argparse choices guard this
-        raise CommandError(f"unknown mode {args.mode!r}")
+        history = features.values
+    if args.mode == "random":
+        seed = _effective_seed(args.seed)
+        _print_seed(seed)
+    sample = draw_sample(args.mode, view, history, seed)
     io.write_sample(args.out, sample, args.mode)
     print(f"rows: {sample.rows.rows}")
     return 0
@@ -165,13 +163,12 @@ def cmd_track(args: argparse.Namespace) -> int:
     _print_seed(config.seed)
     frames = generate_stream(config)
     tracker = TrackerParams(n=args.n, sampler=args.sampler, em_every=args.em_every)
-    detect_params = DetectParams(threshold=args.threshold, radius=args.radius)
     run = track_stream(
         frames,
         config,
         tracker=tracker,
         train_params=_train_params(args),
-        detect_params=detect_params,
+        detect_params=_detect_params(args),
     )
     io.write_track_run(args.out, run)
     print(f"frames: {len(run.records)}")
@@ -214,7 +211,7 @@ def cmd_compare_sampling(args: argparse.Namespace) -> int:
         seeds,
         tracker=TrackerParams(n=n_values[0], em_every=args.em_every),
         train_params=_train_params(args),
-        detect_params=DetectParams(threshold=args.threshold, radius=args.radius),
+        detect_params=_detect_params(args),
     )
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
@@ -233,6 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming coreset tree: reduce, build, sample, track, bench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Training, detection and EM knobs shared by track and compare-sampling.
+    loop = argparse.ArgumentParser(add_help=False)
+    loop.add_argument("--nu", type=float, default=0.5)
+    loop.add_argument("--reg", type=float, default=1e-3)
+    loop.add_argument("--iters", type=int, default=200)
+    loop.add_argument("--threshold", type=float, default=None)
+    loop.add_argument("--radius", type=float, default=None)
+    loop.add_argument("--em-every", type=int, default=1)
 
     p = sub.add_parser("reduce", help="compress a feature file to at most n rows")
     p.add_argument("--in", dest="infile", required=True, help="input feature file")
@@ -260,16 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("track", help="run the tracking loop on a synthetic stream")
+    p = sub.add_parser("track", help="run the tracking loop on a synthetic stream", parents=[loop])
     p.add_argument("--config", required=True, help="stream config path or bundled name")
     p.add_argument("--n", type=int, default=20, help="leaf size")
     p.add_argument("--sampler", default="hierarchical", choices=SAMPLER_MODES)
-    p.add_argument("--nu", type=float, default=0.5)
-    p.add_argument("--reg", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--em-every", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--out", required=True, help="per-frame track table CSV")
     p.set_defaults(func=cmd_track)
@@ -287,17 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
-        "compare-sampling", help="paired sampler comparison on identical streams"
+        "compare-sampling", help="paired sampler comparison on identical streams", parents=[loop]
     )
     p.add_argument("--config", required=True, help="stream config path or bundled name")
     p.add_argument("--n-list", required=True, help="comma-separated leaf sizes")
     p.add_argument("--seeds", required=True, help="comma-separated stream seeds")
-    p.add_argument("--nu", type=float, default=0.5)
-    p.add_argument("--reg", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--em-every", type=int, default=1)
     p.add_argument("--out", required=True, help="results CSV")
     p.set_defaults(func=cmd_compare_sampling)
 
@@ -309,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CommandError, io.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CommandError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected, report as internal

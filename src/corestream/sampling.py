@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -18,8 +19,11 @@ from .blocks import DataBlock
 from .tree import TreeView, collapse
 
 # Provenance level for rows taken straight from a raw buffer rather
-# than from a tree node: the pending buffer or a flat history matrix.
+# than from a tree node: the pending buffer or a flat history.
 RAW_LEVEL = -1
+
+# A flat history: a matrix or a list of 1-d rows, one per stream point.
+History = np.ndarray | Sequence[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -110,51 +114,32 @@ def root_sample(view: TreeView) -> SampleSet:
     )
 
 
-def random_indices(m: int, n: int, seed: int) -> np.ndarray:
-    """Rows random_sample keeps from an m-row history, in stream order.
-
-    n indices drawn uniformly without replacement, or all m when m <= n.
-    """
+def _flat_sample(history: History, idx: np.ndarray, n: int) -> SampleSet:
+    """Sample of the history rows at indices idx, copying only those rows."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    if m <= n:
-        return np.arange(m)
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(m, size=n, replace=False))
-
-
-def subsample_indices(m: int, n: int) -> np.ndarray:
-    """Rows subsample keeps from an m-row history: the distinct values
-    of floor(j * m / n) for j < n."""
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n}")
-    return np.unique([(j * m) // n for j in range(n)])
-
-
-def raw_sample(rows: np.ndarray, idx: np.ndarray, n: int, points_seen: int) -> SampleSet:
-    """Sample of raw history rows already picked at indices idx.
-
-    Lets a caller holding the history in another form than a DataBlock
-    copy only the rows it keeps.
-    """
+    rows = [history[i] for i in idx]
     tags = tuple(RowTag(level=RAW_LEVEL, row=int(i)) for i in idx)
-    return SampleSet(rows=DataBlock(rows), tags=tags, n=n, points_seen=points_seen)
+    return SampleSet(rows=DataBlock(rows), tags=tags, n=n, points_seen=len(history))
 
 
-def random_sample(history: DataBlock, n: int, seed: int) -> SampleSet:
+def random_sample(history: History, n: int, seed: int) -> SampleSet:
     """n rows drawn uniformly without replacement, in stream order.
 
     A history shorter than n comes back whole.
     """
-    idx = random_indices(history.rows, n, seed)
-    return raw_sample(history.values[idx], idx, n, history.rows)
+    m = len(history)
+    idx = np.arange(m)
+    if m > n >= 1:
+        idx = np.sort(np.random.default_rng(seed).choice(m, size=n, replace=False))
+    return _flat_sample(history, idx, n)
 
 
-def subsample(history: DataBlock, n: int) -> SampleSet:
+def subsample(history: History, n: int) -> SampleSet:
     """n evenly spaced rows: indices floor(j * rows / n) for j < n.
 
     Duplicate indices (history shorter than n) are dropped, so the
     result always holds exactly min(n, rows) distinct rows.
     """
-    idx = subsample_indices(history.rows, n)
-    return raw_sample(history.values[idx], idx, n, history.rows)
+    m = len(history)
+    return _flat_sample(history, np.unique([(j * m) // n for j in range(n)]), n)

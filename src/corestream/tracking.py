@@ -22,18 +22,37 @@ import numpy as np
 from .blocks import DataBlock
 from .kalman import KalmanState, NoiseParams, em_fit, kalman_predict, kalman_update
 from .sampling import (
+    History,
     SampleSet,
     hierarchical_sample,
-    random_indices,
-    raw_sample,
+    random_sample,
     root_sample,
-    subsample_indices,
+    subsample,
 )
 from .svm import LinearModel, TrainParams, decisions, train_one_class
-from .tree import CoresetTree
+from .tree import CoresetTree, TreeView
 
 SAMPLER_MODES = ("hierarchical", "root", "random", "subsample")
 EM_ITERATIONS = 8  # sweeps per EM refit of the noise covariances
+
+
+def draw_sample(mode: str, view: TreeView, history: History | None, seed: int | None) -> SampleSet:
+    """Training sample of one of SAMPLER_MODES at the view's budget n.
+
+    The flat baselines read history (a row per point the view has seen)
+    instead of the view; only random reads the seed, and it must be given.
+    """
+    if mode not in SAMPLER_MODES:
+        raise ValueError(f"unknown sampler {mode!r}, expected one of {SAMPLER_MODES}")
+    if mode == "hierarchical":
+        return hierarchical_sample(view)
+    if mode == "root":
+        return root_sample(view)
+    if history is None or (mode == "random" and seed is None):
+        raise ValueError(f"the {mode} sampler needs a history" + " and a seed" * (mode == "random"))
+    if mode == "random":
+        return random_sample(history, view.n, seed)
+    return subsample(history, view.n)
 
 
 @dataclass(frozen=True)
@@ -342,53 +361,6 @@ def _as_directions(sample: SampleSet) -> SampleSet:
     )
 
 
-class _Trainer:
-    """Builds the training sample for one sampler mode and retrains.
-
-    Whatever the mode, sampled rows are normalized to directions (see
-    _as_directions) before the one-class fit; the trainer is the layer
-    that knows summary row norms encode represented mass rather than
-    appearance strength."""
-
-    def __init__(
-        self,
-        mode: str,
-        tree: CoresetTree,
-        history: list[np.ndarray] | None,
-        train_params: TrainParams,
-        seed: int,
-    ):
-        self.mode = mode
-        self.tree = tree
-        self.history = history
-        self.train_params = train_params
-        self.seed = seed
-        self.trainings = 0
-
-    def sample(self) -> SampleSet:
-        if self.mode == "hierarchical":
-            return hierarchical_sample(self.tree.snapshot())
-        if self.mode == "root":
-            return root_sample(self.tree.snapshot())
-        # Pick indices by the rule of subsample / random_sample, then
-        # copy only those rows, so a retrain costs O(n), not O(stream).
-        m, n = len(self.history), self.tree.n
-        if self.mode == "subsample":
-            idx = subsample_indices(m, n)
-        else:
-            draw_seed = int(
-                np.random.SeedSequence((self.seed, self.trainings)).generate_state(1)[0]
-            )
-            idx = random_indices(m, n, draw_seed)
-        return raw_sample(np.vstack([self.history[i] for i in idx]), idx, n, m)
-
-    def retrain(self) -> tuple[LinearModel, int]:
-        sample = self.sample()
-        self.trainings += 1
-        model = train_one_class(_as_directions(sample), self.train_params)
-        return model, sample.points_seen
-
-
 def track_stream(
     frames: Sequence[Frame],
     config: SyntheticStreamConfig,
@@ -416,7 +388,7 @@ def track_stream(
     # Only the flat baselines read raw history; the tree-backed modes
     # keep nothing beyond the tree.
     history: list[np.ndarray] | None = [] if tracker.sampler in ("random", "subsample") else None
-    trainer = _Trainer(tracker.sampler, tree, history, train_params, config.seed)
+    retrains = 0
     jitter_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0B007)))
 
     model: LinearModel | None = None
@@ -426,12 +398,6 @@ def track_stream(
     centers: deque[np.ndarray] = deque(maxlen=n)
     records: list[FrameRecord] = []
     bootstrap_frames = 0
-
-    def on_leaf() -> None:
-        nonlocal model, model_points, noise
-        if tree.leaves_seen % tracker.em_every == 0 and len(centers) >= 4:
-            noise = em_fit(np.vstack(centers), EM_ITERATIONS)
-        model, model_points = trainer.retrain()
 
     for frame in frames:
         if model is None:
@@ -472,7 +438,17 @@ def track_stream(
         if history is not None:
             history.extend(rows)
         if tree.push_rows(rows):
-            on_leaf()
+            if tree.leaves_seen % tracker.em_every == 0 and len(centers) >= 4:
+                noise = em_fit(np.vstack(centers), EM_ITERATIONS)
+            # One push may finish several leaves but retrains once: seed by retrains.
+            seed = None
+            if tracker.sampler == "random":
+                seed = int(np.random.SeedSequence((config.seed, retrains)).generate_state(1)[0])
+            sample = draw_sample(tracker.sampler, tree.snapshot(), history, seed)
+            retrains += 1
+            # Summary row norms encode mass, not appearance: train on directions.
+            model = train_one_class(_as_directions(sample), train_params)
+            model_points = sample.points_seen
             if state is None:
                 state = _initial_kalman(list(centers))
 

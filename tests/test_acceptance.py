@@ -522,7 +522,7 @@ def test_criterion_12_training_time_flatness():
     full_t = []
     rng = np.random.default_rng(0)
     for p in grid:
-        full = random_sample(DataBlock(rng.normal(size=(p, 256))), p, 0)
+        full = random_sample(rng.normal(size=(p, 256)), p, 0)
         a = time.perf_counter()
         train_one_class(full, params)
         full_t.append(time.perf_counter() - a)

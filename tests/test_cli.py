@@ -207,20 +207,23 @@ def test_sample_modes_and_random_determinism(tmp_path):
         "tree-build", "--in", infile, "--n", str(n),
         "--snapshot-out", snap, "--telemetry-out", str(tmp_path / "t.csv"),
     )
-    for mode in ("hierarchical", "root"):
+    features = ("--features", infile)
+    for mode, extra in (("hierarchical", ()), ("root", ()), ("subsample", features)):
         out = str(tmp_path / f"{mode}.csv")
-        result = run_cli("sample", "--snapshot", snap, "--mode", mode, "--out", out)
+        result = run_cli("sample", "--snapshot", snap, "--mode", mode, *extra, "--out", out)
         assert result.returncode == 0, result.stderr
         assert int(stdout_value(result, "rows")) <= 2 * n
+        assert "seed:" not in result.stdout
 
     out1 = tmp_path / "r1.csv"
     out2 = tmp_path / "r2.csv"
     for out in (out1, out2):
         result = run_cli(
             "sample", "--snapshot", snap, "--mode", "random",
-            "--features", infile, "--seed", "9", "--out", str(out),
+            *features, "--seed", "9", "--out", str(out),
         )
         assert result.returncode == 0, result.stderr
+        assert stdout_value(result, "seed") == "9"
     assert out1.read_bytes() == out2.read_bytes()
 
     missing = run_cli(

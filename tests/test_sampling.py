@@ -185,7 +185,7 @@ def test_root_sample_is_the_collapse():
 
 def test_random_sample_returns_short_history_whole():
     history = DataBlock(np.arange(12.0).reshape(4, 3))
-    sample = random_sample(history, n=10, seed=0)
+    sample = random_sample(history.values, n=10, seed=0)
     assert np.array_equal(sample.rows.values, history.values)
     assert [t.row for t in sample.tags] == [0, 1, 2, 3]
     assert sample.points_seen == 4
@@ -193,39 +193,41 @@ def test_random_sample_returns_short_history_whole():
 
 def test_random_sample_draws_distinct_sorted_rows():
     history = DataBlock(np.arange(60.0).reshape(20, 3))
-    sample = random_sample(history, n=8, seed=42)
+    sample = random_sample(history.values, n=8, seed=42)
     picked = [t.row for t in sample.tags]
     assert len(picked) == 8
     assert picked == sorted(picked)
     assert len(set(picked)) == 8
-    again = random_sample(history, n=8, seed=42)
+    again = random_sample(history.values, n=8, seed=42)
     assert np.array_equal(sample.rows.values, again.rows.values)
-    other = random_sample(history, n=8, seed=43)
+    other = random_sample(history.values, n=8, seed=43)
     assert [t.row for t in other.tags] != picked
 
 
 def test_random_sample_rejects_bad_size():
     history = DataBlock(np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        random_sample(history, n=0, seed=0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="sample size"):
+            random_sample(history.values, n=n, seed=0)
 
 
 def test_subsample_exact_spacing():
     history = DataBlock(np.arange(20.0).reshape(10, 2))
-    sample = subsample(history, n=4)
+    sample = subsample(history.values, n=4)
     assert [t.row for t in sample.tags] == [0, 2, 5, 7]
     assert np.array_equal(sample.rows.values, history.values[[0, 2, 5, 7]])
 
 
 def test_subsample_short_history_collapses_duplicates():
     history = DataBlock(np.arange(6.0).reshape(3, 2))
-    sample = subsample(history, n=7)
+    sample = subsample(history.values, n=7)
     assert [t.row for t in sample.tags] == [0, 1, 2]
-    with pytest.raises(ValueError):
-        subsample(history, n=0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="sample size"):
+            subsample(history.values, n=n)
 
 
 def test_all_raw_samplers_tag_raw_level():
     history = DataBlock(np.arange(30.0).reshape(10, 3))
-    for sample in (random_sample(history, 4, seed=1), subsample(history, 4)):
+    for sample in (random_sample(history.values, 4, seed=1), subsample(history.values, 4)):
         assert all(t.level == RAW_LEVEL for t in sample.tags)

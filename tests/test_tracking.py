@@ -23,14 +23,12 @@ from corestream import (
     detect,
     evaluate,
     generate_stream,
-    random_sample,
-    subsample,
     suppress,
     track_stream,
 )
 from corestream import tracking
 from corestream.kalman import _initial_guesses
-from corestream.tracking import _Trainer, config_from_dict
+from corestream.tracking import config_from_dict, draw_sample
 
 
 def small_config(**overrides) -> SyntheticStreamConfig:
@@ -317,12 +315,9 @@ def test_flat_baseline_sample_copies_only_the_rows_it_keeps(mode, monkeypatch):
     n, dim, seed = 8, 5, 3
     rng = np.random.default_rng(0)
     history = [rng.normal(size=dim) for _ in range(10 * n + 3)]
-    whole = DataBlock(np.vstack(history))
-    if mode == "subsample":
-        expected = subsample(whole, n)
-    else:
-        draw_seed = int(np.random.SeedSequence((seed, 0)).generate_state(1)[0])
-        expected = random_sample(whole, n, draw_seed)
+    tree = CoresetTree(n, dim)
+    tree.push_rows(np.vstack(history))
+    view = tree.snapshot()
 
     built = []
     original = DataBlock.__post_init__
@@ -332,12 +327,29 @@ def test_flat_baseline_sample_copies_only_the_rows_it_keeps(mode, monkeypatch):
         built.append(self.rows)
 
     monkeypatch.setattr(DataBlock, "__post_init__", spy)
-    trainer = _Trainer(mode, CoresetTree(n, dim), history, TrainParams(), seed)
-    sample = trainer.sample()
+    from_list = draw_sample(mode, view, history, seed)
+    from_matrix = draw_sample(mode, view, np.vstack(history), seed)
     assert built and max(built) <= n
-    assert np.array_equal(sample.rows.values, expected.rows.values)
-    assert sample.tags == expected.tags
-    assert (sample.n, sample.points_seen) == (expected.n, expected.points_seen)
+    kept = np.vstack([history[tag.row] for tag in from_list.tags])
+    assert np.array_equal(from_list.rows.values, kept)
+    assert np.array_equal(from_list.rows.values, from_matrix.rows.values)
+    assert from_list.tags == from_matrix.tags
+    assert from_list.rows.rows == n
+    assert (from_list.n, from_list.points_seen) == (from_matrix.n, from_matrix.points_seen)
+    assert (from_list.n, from_list.points_seen) == (n, len(history))
+
+
+def test_draw_sample_refuses_a_flat_mode_without_its_inputs():
+    tree = CoresetTree(4, 3)
+    tree.push_rows(np.ones((5, 3)))
+    view = tree.snapshot()
+    with pytest.raises(ValueError, match="subsample sampler needs a history"):
+        draw_sample("subsample", view, None, None)
+    with pytest.raises(ValueError, match="random sampler needs a history and a seed"):
+        draw_sample("random", view, np.ones((5, 3)), None)
+    with pytest.raises(ValueError, match="unknown sampler"):
+        draw_sample("nearest", view, None, None)
+    assert draw_sample("root", view, None, None).points_seen == 5
 
 
 def test_drift_tracks_match_a_looped_em(monkeypatch):
