@@ -44,10 +44,6 @@ def _effective_seed(given: int | None) -> int:
     return secrets.randbelow(2**31)
 
 
-def _print_seed(seed: int) -> None:
-    print(f"seed: {seed}")
-
-
 def _load_stream_config(source: str, seed_override: int | None) -> SyntheticStreamConfig:
     """Load a stream config from a path or a bundled name."""
     bundled = resources.files("corestream").joinpath(f"configs/{source}.json")
@@ -103,7 +99,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CommandError(f"--trials must be at least 1, got {args.trials}")
     seed = _effective_seed(args.seed)
-    _print_seed(seed)
+    print(f"seed: {seed}")
     summary = reduce_block(block, args.n)
     io.write_coreset(args.out, summary)
     eps = measure_epsilon(block, summary, args.epsilon_k, trials=args.trials, seed=seed)
@@ -151,7 +147,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         history = features.values
     if args.mode == "random":
         seed = _effective_seed(args.seed)
-        _print_seed(seed)
+        print(f"seed: {seed}")
     sample = draw_sample(args.mode, view, history, seed)
     io.write_sample(args.out, sample, args.mode)
     print(f"rows: {sample.rows.rows}")
@@ -160,7 +156,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_track(args: argparse.Namespace) -> int:
     config = _load_stream_config(args.config, args.seed)
-    _print_seed(config.seed)
+    print(f"seed: {config.seed}")
     frames = generate_stream(config)
     tracker = TrackerParams(n=args.n, sampler=args.sampler, em_every=args.em_every)
     run = track_stream(
@@ -180,7 +176,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     grid = _int_list(args.grid, "--grid")
     seed = _effective_seed(args.seed)
-    _print_seed(seed)
+    print(f"seed: {seed}")
     if args.mode in ("time", "space"):
         rows = [bench.stream_bench(points, args.n, args.dim, seed) for points in grid]
     else:

@@ -53,26 +53,19 @@ class FormatError(ValueError):
     """A file failed to parse; the message pinpoints where."""
 
 
-def write_features_text(path: str, block: DataBlock) -> None:
+def write_features(path: str, block: DataBlock, binary: bool = False) -> None:
+    """Write a feature matrix as text, or as the binary stream if binary is set."""
+    if binary:
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<IQI", BINARY_VERSION, block.rows, block.dim))
+            fh.write(np.ascontiguousarray(block.values, dtype="<f8").tobytes())
+        return
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"dim={block.dim} rows={block.rows}\n")
         for row in block.values:
             fh.write(" ".join(repr(float(x)) for x in row))
             fh.write("\n")
-
-
-def write_features_binary(path: str, block: DataBlock) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQI", BINARY_VERSION, block.rows, block.dim))
-        fh.write(np.ascontiguousarray(block.values, dtype="<f8").tobytes())
-
-
-def write_features(path: str, block: DataBlock, binary: bool = False) -> None:
-    if binary:
-        write_features_binary(path, block)
-    else:
-        write_features_text(path, block)
 
 
 def _read_features_text(path: str) -> DataBlock:
@@ -256,15 +249,20 @@ def write_coreset(path: str, cb: CoresetBlock) -> None:
     _write_json(path, doc, [cb.block.values])
 
 
-def read_coreset(path: str) -> CoresetBlock:
+def _read_doc(path: str, fmt: str) -> dict:
+    """The JSON object in path, refused unless its format field is fmt."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if doc.get("format") != BLOCK_FORMAT:
-        raise FormatError(f"{path}: not a {BLOCK_FORMAT} document")
-    return _block_from_dict(doc, path)
+    if type(doc) is not dict or doc.get("format") != fmt:
+        raise FormatError(f"{path}: not a {fmt} document")
+    return doc
+
+
+def read_coreset(path: str) -> CoresetBlock:
+    return _block_from_dict(_read_doc(path, BLOCK_FORMAT), path)
 
 
 def _node_from_dict(raw: dict, where: str) -> CoresetNode:
@@ -303,13 +301,7 @@ def write_snapshot(path: str, view: TreeView) -> None:
 
 
 def read_snapshot(path: str) -> TreeView:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if doc.get("format") != SNAPSHOT_FORMAT:
-        raise FormatError(f"{path}: not a {SNAPSHOT_FORMAT} document")
+    doc = _read_doc(path, SNAPSHOT_FORMAT)
     try:
         nodes = tuple(_node_from_dict(raw, path) for raw in doc["nodes"])
         pending = _json_matrix(doc["pending"], "pending")

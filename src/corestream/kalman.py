@@ -3,7 +3,7 @@
 State is (px, py, vx, vy); observations are 2-d centers.  The motion
 model is
 
-    x[t+1] = F(dt) x[t] + w,   w ~ N(0, Q)
+    x[t+1] = F x[t] + w,       w ~ N(0, Q)
     z[t]   = H x[t] + v,       v ~ N(0, R)
 
 with F the constant-velocity transition and H reading out position.
@@ -27,25 +27,11 @@ OBS_DIM = 2
 # (for example identical centers) cannot produce singular innovations.
 COV_FLOOR = 1e-9
 
-_H = np.zeros((OBS_DIM, STATE_DIM))
-_H[0, 0] = 1.0
-_H[1, 1] = 1.0
-
 _SYM_TOL = 1e-9
 _I4 = np.eye(STATE_DIM)
-
-
-def transition_matrix(dt: float = 1.0) -> np.ndarray:
-    """Constant-velocity transition over one step of length dt."""
-    f = np.eye(STATE_DIM)
-    f[0, 2] = dt
-    f[1, 3] = dt
-    return f
-
-
-def observation_matrix() -> np.ndarray:
-    """Position read-out matrix."""
-    return _H.copy()
+# One unit step adds the velocity (vx, vy) to the position (px, py).
+_F = _I4 + np.eye(STATE_DIM, k=OBS_DIM)
+_H = _I4[:OBS_DIM].copy()
 
 
 def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -142,9 +128,8 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
     """Advance the state one step without an observation."""
-    f = transition_matrix()
-    x = f @ state.x
-    p = _sym(f @ state.P @ f.T + noise.Q)
+    x = _F @ state.x
+    p = _sym(_F @ state.P @ _F.T + noise.Q)
     return KalmanState._trusted(x, p)
 
 
@@ -164,7 +149,7 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
     s = _H @ state.P @ _H.T + noise.R
     gain = np.linalg.solve(s.T, (_H @ state.P.T)).T
     x = state.x + gain @ innovation
-    ikh = np.eye(STATE_DIM) - gain @ _H
+    ikh = _I4 - gain @ _H
     p = _sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T)
     return KalmanState._trusted(x, p)
 
@@ -203,8 +188,7 @@ def _e_step(
     """Kalman filter and RTS smoother as scans: smoothed means and covariances,
     lag[t] = Cov(x[t], x[t-1] | all observations) for t >= 1 and the
     log-likelihood, with the prior (mu0, p0) at t = 0."""
-    f = transition_matrix(1.0)
-    hf, later = f[:OBS_DIM], (np.arange(zs.shape[0]) > 0)[:, None, None]
+    hf, later = _F[:OBS_DIM], (np.arange(zs.shape[0]) > 0)[:, None, None]
     # Filtering element 0 conditions the prior on z[0]; element t > 0 conditions
     # the noise N(0, Q) of x[t] = F x[t-1] + w on z[t], so Q is never inverted.
     priors = np.stack([p0, q])
@@ -216,20 +200,20 @@ def _e_step(
     b[0] = mu0 + gain[0] @ (zs[0] - mu0[:OBS_DIM])
     c, sh = np.where(later, posts[1], posts[0]), s_inv[1] @ hf
     eta, j = later * (sh.T @ zs[..., None]), later * (hf.T @ sh)
-    _scan([later * (ikh[1] @ f), b[..., None], c, eta, j], _combine_filtering)
+    _scan([later * (ikh[1] @ _F), b[..., None], c, eta, j], _combine_filtering)
     filt_p = _sym(c)
     # Cholesky raises LinAlgError, before any log, unless every innovation covariance is PD.
-    pred_p = np.concatenate([p0[None], _sym(f @ filt_p[:-1] @ f.T + q)])
+    pred_p = np.concatenate([p0[None], _sym(_F @ filt_p[:-1] @ _F.T + q)])
     chol = np.linalg.cholesky(pred_p[:, :OBS_DIM, :OBS_DIM] + r)
-    innovation = zs - np.concatenate([mu0[None], b[:-1] @ f.T])[:, :OBS_DIM]
+    innovation = zs - np.concatenate([mu0[None], b[:-1] @ _F.T])[:, :OBS_DIM]
     white = np.linalg.solve(chol, innovation[..., None])
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2))
     loglik = -0.5 * (zs.size * np.log(2.0 * np.pi) + float(np.sum(logdet) + np.sum(white**2)))
     # Smoothing element t is (E, (I - E F) m, (I - E F) P) for the filtered
     # (m, P) and gain E = P F^T pred_p[t+1]^-1, with E = 0 at the end.
-    gains_t = np.linalg.solve(pred_p[1:], f @ filt_p[:-1])
+    gains_t = np.linalg.solve(pred_p[1:], _F @ filt_p[:-1])
     e = np.concatenate([gains_t.transpose(0, 2, 1), np.zeros((1, STATE_DIM, STATE_DIM))])
-    ief = _I4 - e @ f
+    ief = _I4 - e @ _F
     g, l = ief @ b[..., None], ief @ filt_p
     _scan([e, g, l], _combine_smoothing, reverse=True)
     sp = _sym(l)
@@ -259,21 +243,20 @@ def _em_once(
     updated (Q, R) and the log-likelihood of the parameters that produced
     them."""
     t_len = zs.shape[0]
-    f = transition_matrix(1.0)
     sm, sp, lag, loglik = _e_step(zs, q, r, mu0, p0)
 
     # Q's sufficient statistic sum_t E[(x[t+1] - F x[t])(x[t+1] - F x[t])^T]
     # as array reductions over t; the mean part is the outer product of
     # the smoothed one-step residuals, which avoids cancelling the large
     # second moments of the positions against each other.
-    step = sm[1:] - sm[:-1] @ f.T
+    step = sm[1:] - sm[:-1] @ _F.T
     lag_sum = lag[1:].sum(axis=0)
     q_sum = (
         step.T @ step
         + sp[1:].sum(axis=0)
-        - lag_sum @ f.T
-        - f @ lag_sum.T
-        + f @ sp[:-1].sum(axis=0) @ f.T
+        - lag_sum @ _F.T
+        - _F @ lag_sum.T
+        + _F @ sp[:-1].sum(axis=0) @ _F.T
     )
     q_new = _sym(q_sum / (t_len - 1))
 

@@ -30,7 +30,7 @@ _BACKTRACK_LIMIT = 30
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Affine scorer: decision(x) = w . x + b, compared against threshold."""
+    """Affine scorer: score(x) = w . x + b, compared against threshold."""
 
     w: np.ndarray
     b: float
@@ -74,14 +74,6 @@ class TrainParams:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu must be in (0, 1], got {self.nu}")
-
-
-def decision(model: LinearModel, x: np.ndarray) -> float:
-    """Score one feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ValueError(f"expected a vector of shape ({model.dim},), got {x.shape}")
-    return float(model.w @ x + model.b)
 
 
 def decisions(model: LinearModel, rows: np.ndarray) -> np.ndarray:

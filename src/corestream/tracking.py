@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -192,12 +192,23 @@ class FrameRecord:
 
 @dataclass(frozen=True, eq=False)
 class TrackRun:
-    """Full outcome of one tracking run."""
+    """Full outcome of one tracking run; it holds at least one record."""
 
     records: tuple[FrameRecord, ...]
     bootstrap_frames: int
-    sampler: str
-    success_rate: float
+
+    def __post_init__(self) -> None:
+        if not self.records:
+            raise ValueError("a track run needs at least one frame record")
+
+    @property
+    def success_rate(self) -> float:
+        """Fraction of post-bootstrap frames whose chosen candidate was
+        correct.  A run with no post-bootstrap frames scores 0.0."""
+        scored = self.records[self.bootstrap_frames :]
+        if not scored:
+            return 0.0
+        return float(sum(1 for r in scored if r.correct)) / len(scored)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -452,21 +463,4 @@ def track_stream(
             if state is None:
                 state = _initial_kalman(list(centers))
 
-    run = TrackRun(
-        records=tuple(records),
-        bootstrap_frames=bootstrap_frames,
-        sampler=tracker.sampler,
-        success_rate=0.0,
-    )
-    return replace(run, success_rate=evaluate(run))
-
-
-def evaluate(run: TrackRun) -> float:
-    """Fraction of post-bootstrap frames whose chosen candidate was
-    correct.  A run with no post-bootstrap frames scores 0.0."""
-    if not run.records:
-        raise ValueError("cannot evaluate an empty run")
-    scored = run.records[run.bootstrap_frames :]
-    if not scored:
-        return 0.0
-    return float(sum(1 for r in scored if r.correct)) / len(scored)
+    return TrackRun(records=tuple(records), bootstrap_frames=bootstrap_frames)

@@ -132,10 +132,8 @@ class CoresetTree(_Counters):
     def live_node_count(self) -> int:
         return len(self._stack)
 
-    def pending_count(self) -> int:
+    def _pending_rows(self) -> int:
         return self._fill
-
-    _pending_rows = pending_count
 
     def push_point(self, row: np.ndarray) -> MergeReport:
         """Append one stream row, forming and merging leaves as needed."""

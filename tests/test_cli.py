@@ -257,6 +257,17 @@ def test_sample_refuses_features_that_do_not_match_the_snapshot(tmp_path, shape)
         assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", ["[1, 2]", '"x"'], ids=["list", "string"])
+def test_sample_refuses_a_snapshot_that_is_not_a_json_object(tmp_path, doc):
+    snap = tmp_path / "bad.json"
+    snap.write_text(doc)
+    result = run_cli(
+        "sample", "--snapshot", str(snap), "--mode", "hierarchical", "--out", str(tmp_path / "s.csv")
+    )
+    assert result.returncode == 2, result.stderr
+    assert f"{snap}: not a coreset-tree-snapshot document" in result.stderr
+
+
 def test_sample_rejects_unknown_mode(tmp_path):
     result = run_cli(
         "sample", "--snapshot", "whatever", "--mode", "sideways", "--out", "x"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,16 @@ def test_coreset_reader_rejects_foreign_documents(tmp_path):
     path.write_text('{"format": "coreset-block", "c": -1, "source_rows": 2, "values": [[1.0]]}')
     with pytest.raises(FormatError):
         io.read_coreset(str(path))
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", '"x"', "3", "null"])
+def test_json_readers_refuse_a_document_that_is_not_an_object(tmp_path, doc):
+    path = tmp_path / "x.json"
+    path.write_text(doc)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not a coreset-block document")):
+        io.read_coreset(str(path))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not a coreset-tree-snapshot document")):
+        io.read_snapshot(str(path))
 
 
 def test_snapshot_round_trip_is_exact(tmp_path):

@@ -18,9 +18,9 @@ from corestream.kalman import (
     _e_step,
     _em_once,
     _initial_guesses,
+    _F,
+    _H,
     _sym,
-    observation_matrix,
-    transition_matrix,
 )
 
 
@@ -38,13 +38,21 @@ def cv_track(t_len: int, seed: int, r_std: float = 2.0, q_vel: float = 0.05):
     return np.array(truth), np.array(zs)
 
 
+def model_matrices(dtype=float):
+    """Hand-built unit-step constant-velocity transition F and position
+    read-out H, for the reference passes below."""
+    f = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=dtype)
+    h = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=dtype)
+    return f, h
+
+
 def test_model_matrices():
-    f = transition_matrix(2.0)
-    assert f[0, 2] == 2.0 and f[1, 3] == 2.0
-    assert np.array_equal(f[:, :2], np.eye(4)[:, :2])
-    h = observation_matrix()
-    assert h.shape == (2, 4)
-    assert np.array_equal(h @ np.array([1.0, 2.0, 3.0, 4.0]), [1.0, 2.0])
+    f, h = model_matrices()
+    assert _F.shape == (4, 4) and np.array_equal(_F, f)
+    assert _H.shape == (2, 4) and np.array_equal(_H, h)
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(_F @ x, [4.0, 6.0, 3.0, 4.0])
+    assert np.array_equal(_H @ x, [1.0, 2.0])
 
 
 def test_state_validation():
@@ -161,7 +169,7 @@ def test_filter_states_are_read_only():
 def test_filter_states_match_the_validating_constructor_bit_for_bit():
     # The filter's steps as written with the public constructor, which
     # re-validates and copies every state.
-    f, h = transition_matrix(1.0), observation_matrix()
+    f, h = model_matrices()
 
     def checked_predict(state, noise):
         return KalmanState(x=f @ state.x, P=_sym(f @ state.P @ f.T + noise.Q))
@@ -253,7 +261,7 @@ def general_forward_pass(zs, q, r, mu0, p0):
     inverse and log-determinant of the innovation covariance and H
     applied as a matrix.  Returns predicted and filtered moments and
     the log-likelihood."""
-    f, h = transition_matrix(1.0), observation_matrix()
+    f, h = model_matrices()
     m, p = mu0, p0
     pred_m, pred_p, filt_m, filt_p, loglik = [], [], [], [], 0.0
     for t in range(zs.shape[0]):
@@ -278,7 +286,7 @@ def general_forward_pass(zs, q, r, mu0, p0):
 
 def looped_smooth_pass(pred_m, pred_p, filt_m, filt_p):
     """Reference RTS smoother: one gain solve per step."""
-    f = transition_matrix(1.0)
+    f, _ = model_matrices()
     t_len = pred_m.shape[0]
     sm, sp = filt_m.copy(), filt_p.copy()
     gains = np.zeros((t_len, 4, 4))
@@ -302,8 +310,7 @@ def looped_e_step(zs, q, r, mu0, p0):
 def looped_m_step(zs, sm, sp, lag):
     """Reference M-step: per-t expected second moments, summed in a
     loop, computed in the dtype of the smoothed moments."""
-    f = transition_matrix(1.0).astype(sm.dtype)
-    h = observation_matrix().astype(sm.dtype)
+    f, h = model_matrices(sm.dtype)
     t_len = zs.shape[0]
     q_sum = np.zeros((4, 4), dtype=sm.dtype)
     for t in range(t_len - 1):

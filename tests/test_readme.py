@@ -32,3 +32,11 @@ def test_numpy_is_the_only_runtime_dependency():
     )
     assert result.returncode == 0, result.stderr
     assert set(result.stdout.split()) <= {"numpy", "corestream"}, result.stdout
+
+
+def test_every_exported_name_resolves_once():
+    import corestream
+
+    assert len(set(corestream.__all__)) == len(corestream.__all__)
+    for name in corestream.__all__:
+        assert hasattr(corestream, name), name

@@ -9,7 +9,6 @@ from corestream import (
     RowTag,
     SampleSet,
     TrainParams,
-    decision,
     decisions,
     train_binary,
     train_one_class,
@@ -63,17 +62,14 @@ def test_train_params_validation():
     assert TrainParams(nu=1.0).nu == 1.0
 
 
-def test_decision_and_decisions_agree():
+def test_decisions_scores_stacks_and_single_rows():
     model = LinearModel(w=np.array([2.0, -1.0]), b=0.25, threshold=0.0)
     rows = np.array([[1.0, 1.0], [0.0, 3.0]])
-    batch = decisions(model, rows)
-    assert batch[0] == pytest.approx(decision(model, rows[0]))
-    assert batch[1] == pytest.approx(decision(model, rows[1]))
-    assert batch[0] == pytest.approx(1.25)
-    with pytest.raises(ValueError):
-        decision(model, np.ones(3))
-    with pytest.raises(ValueError):
-        decisions(model, np.ones((2, 3)))
+    assert decisions(model, rows).tolist() == pytest.approx([1.25, -2.75])
+    assert decisions(model, rows[1:]).tolist() == pytest.approx([-2.75])
+    for bad in (np.ones(2), np.ones((1, 3)), np.ones((2, 3))):
+        with pytest.raises(ValueError):
+            decisions(model, bad)
 
 
 def test_monotone_descent_on_a_quadratic():

@@ -21,7 +21,6 @@ from corestream import (
     TrackerParams,
     TrainParams,
     detect,
-    evaluate,
     generate_stream,
     suppress,
     track_stream,
@@ -288,26 +287,22 @@ def test_all_sampler_modes_run():
             tracker=TrackerParams(n=8, sampler=mode),
             train_params=TrainParams(iterations=80),
         )
-        assert run.sampler == mode
         assert len(run.records) == 40
 
 
-def test_evaluate_counts_post_bootstrap_correctness():
+def test_success_rate_counts_post_bootstrap_correctness():
     def record(i, correct):
         return FrameRecord(
             index=i, chosen=0, score=1.0, estimate=(0.0, 0.0), correct=correct, model_points=0
         )
 
     records = tuple(record(i, i < 7) for i in range(10))
-    run = TrackRun(records=records, bootstrap_frames=0, sampler="hierarchical", success_rate=0.0)
-    assert evaluate(run) == pytest.approx(0.7)
-    empty = TrackRun(records=(), bootstrap_frames=0, sampler="hierarchical", success_rate=0.0)
+    assert TrackRun(records=records, bootstrap_frames=0).success_rate == pytest.approx(0.7)
+    assert TrackRun(records=records, bootstrap_frames=10).success_rate == 0.0
     with pytest.raises(ValueError):
-        evaluate(empty)
-    only_bootstrap = TrackRun(
-        records=records, bootstrap_frames=10, sampler="hierarchical", success_rate=0.0
-    )
-    assert evaluate(only_bootstrap) == 0.0
+        TrackRun(records=(), bootstrap_frames=0)
+    with pytest.raises(ValueError):
+        track_stream([], small_config())
 
 
 @pytest.mark.parametrize("mode", ["subsample", "random"])

@@ -73,7 +73,7 @@ def test_a_merge_that_overflows_raises():
     assert tree.merge_count == 0
     assert tree.max_live_nodes == 1
     assert tree.live_node_count() == 1
-    assert tree.pending_count() == 1
+    assert tree.snapshot().pending.shape[0] == 1
 
 
 def test_the_tree_builds_no_publicly_validated_blocks(monkeypatch):
@@ -114,7 +114,7 @@ def test_leaf_forms_at_exactly_n_rows():
     tree = CoresetTree(4, 2)
     reports = [tree.push_point(np.array([float(i), 0.0])) for i in range(4)]
     assert [r.leaf_formed for r in reports] == [False, False, False, True]
-    assert tree.pending_count() == 0
+    assert tree.snapshot().pending.shape[0] == 0
     assert tree.leaves_seen == 1
     assert tree.live_node_count() == 1
 
@@ -300,7 +300,7 @@ def test_push_rows_matches_per_row_pushes(n, sizes, seed):
         leaves = batched.leaves_seen
         assert batched.push_rows(rows[start : start + size]) == batched.leaves_seen - leaves
         start += size
-    assert batched.pending_count() == per_row.pending_count()
+    assert batched.snapshot().pending.shape[0] == per_row.snapshot().pending.shape[0]
     assert_same_state(batched, per_row)
 
 
@@ -317,7 +317,7 @@ def test_push_rows_stops_where_per_row_pushes_stop_on_a_raising_merge():
     assert tree.leaves_seen == 1
     assert tree.merge_count == 0
     assert tree.live_node_count() == 1
-    assert tree.pending_count() == 1
+    assert tree.snapshot().pending.shape[0] == 1
 
 
 @pytest.mark.parametrize(
