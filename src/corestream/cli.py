@@ -4,19 +4,17 @@ Subcommands: reduce, tree-build, sample, track, bench,
 compare-sampling.  Exit status 0 on success, 2 on usage or input
 validation problems, 1 on internal errors.  Every command is
 deterministic given an explicit --seed; commands that draw randomness
-print the effective seed they used.
+print the effective seed they used.  This module opens no file itself:
+every read and write, config lookup included, goes through io.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import secrets
 import sys
 import time
 from dataclasses import astuple, fields, replace
-from importlib import resources
 
 from . import bench, io
 from .blocks import measure_epsilon, reduce_block
@@ -24,9 +22,7 @@ from .svm import TrainParams
 from .tracking import (
     DetectParams,
     SAMPLER_MODES,
-    SyntheticStreamConfig,
     TrackerParams,
-    config_from_dict,
     draw_sample,
     generate_stream,
     track_stream,
@@ -42,29 +38,6 @@ def _effective_seed(given: int | None) -> int:
     if given is not None:
         return given
     return secrets.randbelow(2**31)
-
-
-def _load_stream_config(source: str, seed_override: int | None) -> SyntheticStreamConfig:
-    """Load a stream config from a path or a bundled name."""
-    bundled = resources.files("corestream").joinpath(f"configs/{source}.json")
-    try:
-        with open(source, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        if not bundled.is_file():
-            raise CommandError(
-                f"no config file {source!r} and no bundled config of that name"
-            ) from None
-        raw = json.loads(bundled.read_text(encoding="ascii"))
-    except json.JSONDecodeError as exc:
-        raise CommandError(f"{source}: line {exc.lineno}: {exc.msg}") from None
-    try:
-        config = config_from_dict(raw)
-    except (TypeError, ValueError) as exc:
-        raise CommandError(f"{source}: {exc}") from None
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
-    return config
 
 
 def _train_params(args: argparse.Namespace) -> TrainParams:
@@ -155,7 +128,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    config = _load_stream_config(args.config, args.seed)
+    config = io.read_stream_config(args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     print(f"seed: {config.seed}")
     frames = generate_stream(config)
     tracker = TrackerParams(n=args.n, sampler=args.sampler, em_every=args.em_every)
@@ -182,10 +157,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         params = _train_params(args)
         rows = [bench.svm_time_bench(points, args.n, args.dim, seed, params) for points in grid]
-    with open(args.out, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([field.name for field in fields(rows[0])])
-        writer.writerows(astuple(row) for row in rows)
+    io.write_table(args.out, [field.name for field in fields(rows[0])], map(astuple, rows))
     if args.mode == "space":
         for row in rows:
             if row.max_live_nodes > row.live_bound:
@@ -198,7 +170,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_sampling(args: argparse.Namespace) -> int:
-    config = _load_stream_config(args.config, None)
+    config = io.read_stream_config(args.config)
     n_values = _int_list(args.n_list, "--n-list")
     seeds = _int_list(args.seeds, "--seeds")
     rows = bench.compare_samplers(
@@ -209,11 +181,7 @@ def cmd_compare_sampling(args: argparse.Namespace) -> int:
         train_params=_train_params(args),
         detect_params=_detect_params(args),
     )
-    with open(args.out, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "seed", "mode", "success"])
-        for row in rows:
-            writer.writerow([row["n"], row["seed"], row["mode"], repr(row["success"])])
+    io.write_table(args.out, list(rows[0]), map(dict.values, rows))
     means = bench.summarize_comparison(rows)
     for (n, mode), mean in sorted(means.items()):
         print(f"n={n} {mode}: {mean:.3f}")

@@ -1,5 +1,7 @@
 """File formats: feature matrices, summary blocks, tree snapshots,
-samples, telemetry and track tables.
+stream configs, and the telemetry, sample, track, bench and comparison
+tables.  Every file the package reads or writes is opened here; cli.py
+leaves every file to this module.
 
 Feature matrices travel either as text (a ``dim=<d> rows=<r>`` header
 line, then one space-separated row per line) or as a little-endian
@@ -15,12 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from importlib import resources
 from itertools import chain
 
 import numpy as np
 
 from .blocks import CoresetBlock, DataBlock
 from .sampling import SampleSet
+from .tracking import SyntheticStreamConfig, config_from_dict
 from .tree import CoresetNode, TreeView, validate_view
 
 MAGIC = b"CSTK"
@@ -30,23 +34,8 @@ SNAPSHOT_FORMAT = "coreset-tree-snapshot"
 _DERIVED_COUNTERS = ("points_seen", "merge_count", "max_live_nodes")
 BLOCK_FORMAT = "coreset-block"
 
-TELEMETRY_COLUMNS = (
-    "step",
-    "merges_this_step",
-    "cumulative_svd_count",
-    "live_nodes",
-    "push_time",
-)
-
-TRACK_COLUMNS = (
-    "frame",
-    "chosen",
-    "score",
-    "estimate_x",
-    "estimate_y",
-    "correct",
-    "model_points",
-)
+TELEMETRY_COLUMNS = ("step", "merges_this_step", "cumulative_svd_count", "live_nodes", "push_time")
+TRACK_COLUMNS = ("frame", "chosen", "score", "estimate_x", "estimate_y", "correct", "model_points")
 
 
 class FormatError(ValueError):
@@ -249,13 +238,18 @@ def write_coreset(path: str, cb: CoresetBlock) -> None:
     _write_json(path, doc, [cb.block.values])
 
 
-def _read_doc(path: str, fmt: str) -> dict:
-    """The JSON object in path, refused unless its format field is fmt."""
+def _load_json(path):
+    """The JSON value in path; a syntax error raises FormatError naming the line."""
     with open(path, "r", encoding="ascii") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+
+
+def _read_doc(path: str, fmt: str) -> dict:
+    """The JSON object in path, refused unless its format field is fmt."""
+    doc = _load_json(path)
     if type(doc) is not dict or doc.get("format") != fmt:
         raise FormatError(f"{path}: not a {fmt} document")
     return doc
@@ -332,42 +326,54 @@ def read_snapshot(path: str) -> TreeView:
     return view
 
 
+def read_stream_config(source: str) -> SyntheticStreamConfig:
+    """The stream config in the JSON file source or, if there is no such
+    file, the bundled config named source."""
+    try:
+        raw = _load_json(source)
+    except FileNotFoundError:
+        bundled = resources.files("corestream").joinpath(f"configs/{source}.json")
+        if not bundled.is_file():
+            raise FormatError(
+                f"no config file {source!r} and no bundled config of that name"
+            ) from None
+        raw = _load_json(bundled)
+    try:
+        return config_from_dict(raw)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{source}: {exc}") from None
+
+
+def write_table(path: str, header, rows, footer: str = "") -> None:
+    """CSV of a header row, then rows, then footer as raw text.  Cells are
+    written as csv.writer prints them, so callers pass Python scalars."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+        fh.write(footer)
+
+
 def write_telemetry(path: str, records: list[tuple[int, int, int, float]]) -> None:
     """Telemetry CSV, one row per push; records holds one (merges_this_step,
     cumulative_svd_count, live_nodes, push_time) tuple per push, in order."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TELEMETRY_COLUMNS)
-        for step, (merges, cumulative, live, seconds) in enumerate(records):
-            writer.writerow([step, merges, cumulative, live, repr(float(seconds))])
+    write_table(path, TELEMETRY_COLUMNS, ((step, *rec) for step, rec in enumerate(records)))
 
 
 def write_sample(path: str, sample: SampleSet, mode: str) -> None:
     """Sample CSV with provenance columns and a row-count footer."""
     limit = 2 * sample.n if mode == "hierarchical" else sample.n
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "row"] + [f"f{j}" for j in range(sample.rows.dim)])
-        for tag, row in zip(sample.tags, sample.rows.values):
-            writer.writerow([tag.level, tag.row] + [repr(float(x)) for x in row])
-        fh.write(f"# mode={mode} rows={sample.rows.rows} limit={limit}\n")
+    values = sample.rows.values.tolist()
+    rows = ([tag.level, tag.row, *row] for tag, row in zip(sample.tags, values))
+    footer = f"# mode={mode} rows={sample.rows.rows} limit={limit}\n"
+    write_table(path, ["level", "row"] + [f"f{j}" for j in range(sample.rows.dim)], rows, footer)
 
 
 def write_track_run(path: str, run) -> None:
     """Track table CSV: one row per frame, no wall-clock anywhere, so
     identical runs produce identical bytes."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACK_COLUMNS)
-        for r in run.records:
-            writer.writerow(
-                [
-                    r.index,
-                    r.chosen,
-                    repr(float(r.score)),
-                    repr(float(r.estimate[0])),
-                    repr(float(r.estimate[1])),
-                    int(r.correct),
-                    r.model_points,
-                ]
-            )
+    rows = (
+        [r.index, r.chosen, float(r.score), *r.estimate, int(r.correct), r.model_points]
+        for r in run.records
+    )
+    write_table(path, TRACK_COLUMNS, rows)

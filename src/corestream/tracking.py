@@ -13,6 +13,7 @@ bootstrap: the true candidate is taken on trust to seed the model.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -67,7 +68,8 @@ class SyntheticStreamConfig:
     minimum distance between the target and any distractor, which also
     serves as the default suppression radius.  jitter_copies adds that
     many perturbed copies of each bootstrap feature to enrich the
-    initial model.
+    initial model.  Integer fields take integers and float fields finite
+    numbers; neither takes a boolean.
     """
 
     dim: int = 16
@@ -85,6 +87,15 @@ class SyntheticStreamConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = f.type == "int"
+            kind = numbers.Integral if integral else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if integral else "a number"
+                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+            if not integral and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.frames < 1:
@@ -106,7 +117,9 @@ class SyntheticStreamConfig:
 
 
 def config_from_dict(raw: dict) -> SyntheticStreamConfig:
-    """Build a config from parsed JSON, rejecting unknown keys."""
+    """Build a config from parsed JSON, rejecting a non-object and unknown keys."""
+    if type(raw) is not dict:
+        raise TypeError(f"a stream config must be a JSON object, got {type(raw).__name__}")
     known = {f.name for f in fields(SyntheticStreamConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -140,14 +153,21 @@ class Detection:
 class DetectParams:
     """Detection-side knobs.
 
-    threshold None means use the model's trained threshold.  radius
-    None means use the stream's candidate spacing.  A chosen center
-    counts as correct within half the spacing of the truth (see
-    FrameRecord).
+    threshold None means use the model's trained threshold, and any
+    other must be finite.  radius None means use the stream's candidate
+    spacing, and any other must be finite and > 0, as spacing is.  A
+    chosen center counts as correct within half the spacing of the
+    truth (see FrameRecord).
     """
 
     threshold: float | None = None
     radius: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
-from corestream import DataBlock, random_orthonormal
-from corestream import io
+from corestream import DataBlock, DetectParams, TrackerParams, TrainParams, random_orthonormal
+from corestream import bench, io
 
 # Success rate of the first verified run of the bundled drift-stream
 # config under the canonical flags below.  Guards against silent
@@ -369,6 +370,53 @@ def test_compare_sampling_covers_every_cell(tmp_path):
     assert len(lines) == 1 + 2 * 4
     for mode in ("hierarchical", "root", "random", "subsample"):
         assert f"n=8 {mode}:" in result.stdout
+    # Each cell parses back to the exact float the library returns.
+    expected = bench.compare_samplers(
+        io.read_stream_config(str(cfg)),
+        [8],
+        [0, 1],
+        tracker=TrackerParams(n=8),
+        train_params=TrainParams(iterations=60),
+        detect_params=DetectParams(),
+    )
+    with open(out, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [
+        (int(row["n"]), int(row["seed"]), row["mode"], float(row["success"])) for row in table
+    ] == [(row["n"], row["seed"], row["mode"], row["success"]) for row in expected]
+
+
+def test_bench_space_rows_equal_the_library_rows(tmp_path):
+    out = tmp_path / "bench.csv"
+    result = run_cli(
+        "bench", "--mode", "space", "--grid", "64,200", "--n", "8", "--dim", "4",
+        "--seed", "3", "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == [field.name for field in fields(bench.StreamBenchRow)]
+    wall_clock = header.index("amortized_push_seconds")
+    assert len(rows) == 2
+    for points, row in zip((64, 200), rows):
+        expected = [str(value) for value in astuple(bench.stream_bench(points, 8, 4, 3))]
+        del row[wall_clock], expected[wall_clock]
+        assert row == expected
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("track", "--threshold", "nan"), ("track", "--radius", "-3"),
+     ("compare-sampling", "--radius", "nan")],
+)
+def test_nonfinite_threshold_or_bad_radius_is_a_usage_error(tmp_path, command, flag, value):
+    extra = ["--n-list", "16", "--seeds", "0"] if command == "compare-sampling" else []
+    result = run_cli(
+        command, "--config", "drift_stream", *extra, flag, value, "--out", str(tmp_path / "o")
+    )
+    assert result.returncode == 2
+    assert flag[2:] + " must be finite" in result.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_seed_is_chosen_and_printed(tmp_path):

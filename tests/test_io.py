@@ -1,8 +1,10 @@
 """Round-trip and error-path tests for the on-disk formats."""
 
+import ast
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,3 +466,60 @@ def test_track_csv_round_trips_values(tmp_path):
         assert float(row[3]) == record.estimate[0]
         assert int(row[5]) == int(record.correct)
         assert int(row[6]) == record.model_points
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"dim": 16.5}', "dim must be an integer"),
+        ('{"frames": 30.0}', "frames must be an integer"),
+        ('{"seed": 1.5}', "seed must be an integer"),
+        ('{"jitter_copies": 1.5}', "jitter_copies must be an integer"),
+        ('{"arena": Infinity}', "arena must be finite"),
+        ('{"noise_scale": NaN}', "noise_scale must be finite"),
+        ('{"distractor_count": true}', "distractor_count must be an integer"),
+        ("[1, 2]", "must be a JSON object"),
+    ],
+    ids=["float-dim", "float-frames", "float-seed", "float-jitter", "inf-arena",
+         "nan-noise", "bool-count", "top-level-list"],
+)
+def test_stream_config_refuses_wrong_typed_values(tmp_path, capsys, doc, message):
+    # Each case once ran as an internal error, a keyless message or a
+    # silently coerced value; now it is a usage error naming its key.
+    path = tmp_path / "c.json"
+    path.write_text(doc)
+    with pytest.raises(FormatError, match=message):
+        io.read_stream_config(str(path))
+    code = cli.main(["track", "--config", str(path), "--n", "4", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bundled_stream_configs_pass_the_type_check():
+    for name in ("drift_stream", "easy_stream"):
+        assert io.read_stream_config(name).dim == 16
+
+
+def test_only_io_opens_files():
+    # Every file the package touches is opened in io.py; other modules
+    # neither call open() nor import csv or json.
+    offenders = []
+    for path in sorted(Path(io.__file__).parent.glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                offenders.append(f"{path.name}:{node.lineno}: open()")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            offenders += [
+                f"{path.name}:{node.lineno}: import {name}"
+                for name in modules
+                if name.split(".")[0] in ("csv", "json")
+            ]
+    assert offenders == []

@@ -67,6 +67,25 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"dim": 4, "frames": 10, "wat": 1})
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (dict(threshold=math.nan), "threshold must be finite"),
+        (dict(threshold=-math.inf), "threshold must be finite"),
+        (dict(radius=-3.0), "radius must be finite and > 0"),
+        (dict(radius=0.0), "radius must be finite and > 0"),
+        (dict(radius=math.nan), "radius must be finite and > 0"),
+        (dict(radius=math.inf), "radius must be finite and > 0"),
+    ],
+)
+def test_detect_params_refuse_nonfinite_threshold_and_bad_radius(params, message):
+    # A NaN threshold passes every candidate, and a NaN or negative
+    # radius switches suppression off.
+    with pytest.raises(ValueError, match=message):
+        DetectParams(**params)
+    assert DetectParams(threshold=-2.5, radius=0.5).radius == 0.5
+
+
 def test_stream_shape_and_truth_bookkeeping():
     config = small_config()
     frames = generate_stream(config)
