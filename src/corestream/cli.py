@@ -36,6 +36,8 @@ class CommandError(Exception):
 
 def _effective_seed(given: int | None) -> int:
     if given is not None:
+        if given < 0:
+            raise CommandError(f"--seed must be >= 0, got {given}")
         return given
     return secrets.randbelow(2**31)
 
@@ -48,17 +50,13 @@ def _train_params(args: argparse.Namespace) -> TrainParams:
     )
 
 
-def _detect_params(args: argparse.Namespace) -> DetectParams:
-    return DetectParams(threshold=args.threshold, radius=args.radius)
-
-
 def _int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise CommandError(f"{what} must be a comma-separated integer list, got {text!r}")
-    if not values:
-        raise CommandError(f"{what} must not be empty")
+    if not values or min(values) < 0:
+        raise CommandError(f"{what} must be a non-empty list of integers >= 0, got {text!r}")
     return values
 
 
@@ -139,7 +137,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         config,
         tracker=tracker,
         train_params=_train_params(args),
-        detect_params=_detect_params(args),
+        detect_params=DetectParams(threshold=args.threshold),
     )
     io.write_track_run(args.out, run)
     print(f"frames: {len(run.records)}")
@@ -158,13 +156,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         params = _train_params(args)
         rows = [bench.svm_time_bench(points, args.n, args.dim, seed, params) for points in grid]
     io.write_table(args.out, [field.name for field in fields(rows[0])], map(astuple, rows))
-    if args.mode == "space":
-        for row in rows:
-            if row.max_live_nodes > row.live_bound:
-                print(
-                    f"warning: p={row.points} live nodes {row.max_live_nodes} "
-                    f"exceed bound {row.live_bound}"
-                )
     print(f"rows: {len(grid)}")
     return 0
 
@@ -179,7 +170,7 @@ def cmd_compare_sampling(args: argparse.Namespace) -> int:
         seeds,
         tracker=TrackerParams(n=n_values[0], em_every=args.em_every),
         train_params=_train_params(args),
-        detect_params=_detect_params(args),
+        detect_params=DetectParams(threshold=args.threshold),
     )
     io.write_table(args.out, list(rows[0]), map(dict.values, rows))
     means = bench.summarize_comparison(rows)
@@ -200,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     loop.add_argument("--reg", type=float, default=1e-3)
     loop.add_argument("--iters", type=int, default=200)
     loop.add_argument("--threshold", type=float, default=None)
-    loop.add_argument("--radius", type=float, default=None)
     loop.add_argument("--em-every", type=int, default=1)
 
     p = sub.add_parser("reduce", help="compress a feature file to at most n rows")

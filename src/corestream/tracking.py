@@ -4,10 +4,11 @@ Each synthetic frame offers a handful of candidates: one carries the
 true target's feature (drifting over time, observed with noise), the
 rest are distractors blended toward the target's current appearance.
 The tracking loop scores candidates with the latest published one-class
-model, smooths the chosen center with a Kalman filter, pushes the
-chosen feature into a coreset tree, and retrains from a bounded sample
-whenever a new leaf completes.  The first n frames are an oracle
-bootstrap: the true candidate is taken on trust to seed the model.
+model, takes the top scorer if it clears the threshold, smooths its
+center with a Kalman filter, pushes its feature into a coreset tree,
+and retrains from a bounded sample whenever a new leaf completes.  The
+first n frames are an oracle bootstrap: the true candidate is taken on
+trust to seed the model.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ class SyntheticStreamConfig:
     noise_scale is additive observation noise on every feature;
     distractor_similarity in [0, 1) blends distractor features toward
     the target's current appearance.  Motion runs at constant velocity
-    with process noise inside a square arena, and spacing is the
-    minimum distance between the target and any distractor, which also
-    serves as the default suppression radius.  jitter_copies adds that
+    with process noise inside a square arena.  spacing is the minimum
+    distance between the target and any distractor (and the margin the
+    target keeps from the walls); a detection within half of it of the
+    true position counts as correct.  jitter_copies adds that
     many perturbed copies of each bootstrap feature to enrich the
     initial model.  Integer fields take integers and float fields finite
     numbers; neither takes a boolean.
@@ -102,8 +104,6 @@ class SyntheticStreamConfig:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.drift_rate < 0 or self.noise_scale < 0:
             raise ValueError("drift_rate and noise_scale must be >= 0")
-        if self.distractor_count < 0:
-            raise ValueError(f"distractor_count must be >= 0, got {self.distractor_count}")
         if not 0.0 <= self.distractor_similarity < 1.0:
             raise ValueError(
                 f"distractor_similarity must be in [0, 1), got {self.distractor_similarity}"
@@ -112,8 +112,9 @@ class SyntheticStreamConfig:
             raise ValueError("arena and spacing must be > 0")
         if self.spacing * 2 >= self.arena:
             raise ValueError("arena must be larger than twice the spacing")
-        if self.jitter_copies < 0:
-            raise ValueError(f"jitter_copies must be >= 0, got {self.jitter_copies}")
+        for name in ("distractor_count", "jitter_copies", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def config_from_dict(raw: dict) -> SyntheticStreamConfig:
@@ -154,20 +155,15 @@ class DetectParams:
     """Detection-side knobs.
 
     threshold None means use the model's trained threshold, and any
-    other must be finite.  radius None means use the stream's candidate
-    spacing, and any other must be finite and > 0, as spacing is.  A
-    chosen center counts as correct within half the spacing of the
-    truth (see FrameRecord).
+    other must be finite.  A frame's detection is its top-scoring
+    candidate if that clears the threshold (see detect).
     """
 
     threshold: float | None = None
-    radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
-        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be finite and > 0, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -304,38 +300,13 @@ def generate_stream(config: SyntheticStreamConfig) -> list[Frame]:
     return frames
 
 
-def suppress(
-    positions: np.ndarray, scores: np.ndarray, threshold: float, radius: float
-) -> list[int]:
-    """Greedy non-maximum suppression.
-
-    Candidates scoring below the threshold are discarded; survivors are
-    visited best-first and each keeper removes later candidates within
-    radius of it.  Returns kept indices in descending score order,
-    index order breaking ties.
-    """
-    order = np.argsort(-scores, kind="stable")
-    near = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1) < radius
-    blocked = np.zeros(len(order), dtype=bool)
-    kept: list[int] = []
-    for idx in order:
-        if scores[idx] < threshold or blocked[idx]:
-            continue
-        kept.append(int(idx))
-        blocked |= near[idx]
-    return kept
-
-
-def detect(
-    model: LinearModel, frame: Frame, threshold: float, radius: float
-) -> Detection | None:
-    """Best surviving candidate of a frame, or None if all score below
-    the threshold."""
+def detect(model: LinearModel, frame: Frame, threshold: float) -> Detection | None:
+    """Top-scoring candidate of a frame, the lowest index among ties, or
+    None if it scores below the threshold."""
     scores = decisions(model, frame.features)
-    kept = suppress(frame.positions, scores, threshold, radius)
-    if not kept:
+    best = int(np.argmax(scores))
+    if scores[best] < threshold:
         return None
-    best = kept[0]
     return Detection(
         index=best,
         position=frame.positions[best].copy(),
@@ -411,7 +382,6 @@ def track_stream(
     tracker = tracker or TrackerParams()
     train_params = train_params or TrainParams()
     dp = detect_params or DetectParams()
-    radius = dp.radius if dp.radius is not None else config.spacing
     tolerance = config.spacing / 2.0
     n = tracker.n
 
@@ -440,7 +410,7 @@ def track_stream(
             estimate = position
         else:
             threshold = dp.threshold if dp.threshold is not None else model.threshold
-            found = detect(model, frame, threshold, radius)
+            found = detect(model, frame, threshold)
             state = kalman_predict(state, noise)
             if found is None:
                 chosen, score, position, rows = -1, float("nan"), None, None

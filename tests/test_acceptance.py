@@ -7,11 +7,9 @@ measured against independent replays (hand arithmetic, raw numpy SVD,
 or re-simulation of the exact merge schedule) before being pinned.
 """
 
-import json
 import subprocess
 import sys
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from corestream import (
     train_binary,
     train_one_class,
 )
+from corestream import io
 from corestream.bench import build_tree, compare_samplers, summarize_comparison
 from corestream.blocks import ENERGY_FLOOR
 from corestream.svm import (
@@ -46,7 +45,6 @@ from corestream.svm import (
     one_class_objective,
     one_class_subgradient,
 )
-from corestream.tracking import config_from_dict
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -547,12 +545,8 @@ def test_criterion_13_sampler_ordering():
     # only reported: both draw n rows evenly over the same raw history
     # and nothing promises an order between them (on unused seeds
     # 10-109, subsample >= random in 47/100, mean gap -0.006).
-    raw = json.loads(
-        resources.files("corestream").joinpath("configs/drift_stream.json").read_text()
-    )
-    config = config_from_dict(raw)
     rows = compare_samplers(
-        config,
+        io.read_stream_config("drift_stream"),
         [16],
         list(range(10)),
         tracker=TrackerParams(n=16, em_every=2),

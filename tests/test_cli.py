@@ -9,7 +9,14 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 
-from corestream import DataBlock, DetectParams, TrackerParams, TrainParams, random_orthonormal
+from corestream import (
+    CoresetTree,
+    DataBlock,
+    DetectParams,
+    TrackerParams,
+    TrainParams,
+    random_orthonormal,
+)
 from corestream import bench, io
 
 # Success rate of the first verified run of the bundled drift-stream
@@ -406,8 +413,7 @@ def test_bench_space_rows_equal_the_library_rows(tmp_path):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("track", "--threshold", "nan"), ("track", "--radius", "-3"),
-     ("compare-sampling", "--radius", "nan")],
+    [("track", "--threshold", "nan"), ("compare-sampling", "--threshold", "inf")],
 )
 def test_nonfinite_threshold_or_bad_radius_is_a_usage_error(tmp_path, command, flag, value):
     extra = ["--n-list", "16", "--seeds", "0"] if command == "compare-sampling" else []
@@ -416,6 +422,38 @@ def test_nonfinite_threshold_or_bad_radius_is_a_usage_error(tmp_path, command, f
     )
     assert result.returncode == 2
     assert flag[2:] + " must be finite" in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["reduce", "--in", "{feat}", "--n", "2", "--seed", "-1"], "--seed"),
+        (["sample", "--snapshot", "{snap}", "--mode", "random", "--features", "{feat}",
+          "--seed", "-1"], "--seed"),
+        (["bench", "--mode", "time", "--grid", "-5"], "--grid"),
+        (["bench", "--mode", "space", "--grid", "8", "--seed", "-1"], "--seed"),
+        (["track", "--config", "drift_stream", "--seed", "-1"], "seed"),
+        (["track", "--config", "{config}"], "seed"),
+        (["compare-sampling", "--config", "drift_stream", "--n-list", "16", "--seeds", "0,-1"],
+         "--seeds"),
+        (["compare-sampling", "--config", "drift_stream", "--n-list", "-16", "--seeds", "0"],
+         "--n-list"),
+    ],
+    ids=["reduce-seed", "sample-seed", "bench-grid", "bench-seed", "track-seed",
+         "track-config-seed", "compare-seeds", "compare-n-list"],
+)
+def test_negative_seeds_and_list_values_are_refused_before_any_output(tmp_path, args, name):
+    paths = {key: str(tmp_path / key) for key in ("feat", "snap", "config")}
+    block = write_rank2_features(paths["feat"])
+    tree = CoresetTree(4, block.dim)
+    tree.push_rows(block.values)
+    io.write_snapshot(paths["snap"], tree.snapshot())
+    (tmp_path / "config").write_text(json.dumps({"dim": 8, "frames": 60, "seed": -1}))
+    result = run_cli(*(arg.format(**paths) for arg in args), "--out", str(tmp_path / "o"))
+    assert result.returncode == 2
+    assert f"{name} must be" in result.stderr
+    assert "seed:" not in result.stdout
     assert not (tmp_path / "o").exists()
 
 

@@ -2,8 +2,13 @@
 
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
+
+import pytest
+
+from corestream import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,6 +22,26 @@ def test_quick_start_runs_and_keeps_its_promises():
     tree, root, sample = scope["tree"], scope["root"], scope["sample"]
     assert root.block.rows == min(tree.n, tree.dim) == 32
     assert sample.rows.rows <= 2 * tree.n
+
+
+def test_every_command_line_parses():
+    # Parse only: nothing runs and no file named on a line is opened.
+    text = README.read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```[^\n]*\n(.*?)```", text, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("corestream ")
+    ]
+    assert {argv[0] for argv in commands} == {
+        "reduce", "tree-build", "sample", "track", "bench", "compare-sampling"
+    }
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: corestream {shlex.join(argv)}")
 
 
 def test_numpy_is_the_only_runtime_dependency():

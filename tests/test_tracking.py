@@ -1,9 +1,7 @@
 """Tests for the synthetic stream generator and the full tracking loop."""
 
-import json
 import math
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,10 +20,9 @@ from corestream import (
     TrainParams,
     detect,
     generate_stream,
-    suppress,
     track_stream,
 )
-from corestream import tracking
+from corestream import io, tracking
 from corestream.kalman import _initial_guesses
 from corestream.tracking import config_from_dict, draw_sample
 
@@ -56,6 +53,7 @@ def test_config_validation():
         dict(spacing=0.0),
         dict(arena=8.0, spacing=4.0),
         dict(jitter_copies=-1),
+        dict(seed=-1),
     ):
         with pytest.raises(ValueError):
             SyntheticStreamConfig(**bad)
@@ -72,18 +70,13 @@ def test_config_from_dict_rejects_unknown_keys():
     [
         (dict(threshold=math.nan), "threshold must be finite"),
         (dict(threshold=-math.inf), "threshold must be finite"),
-        (dict(radius=-3.0), "radius must be finite and > 0"),
-        (dict(radius=0.0), "radius must be finite and > 0"),
-        (dict(radius=math.nan), "radius must be finite and > 0"),
-        (dict(radius=math.inf), "radius must be finite and > 0"),
     ],
 )
 def test_detect_params_refuse_nonfinite_threshold_and_bad_radius(params, message):
-    # A NaN threshold passes every candidate, and a NaN or negative
-    # radius switches suppression off.
+    # A NaN threshold passes every candidate.
     with pytest.raises(ValueError, match=message):
         DetectParams(**params)
-    assert DetectParams(threshold=-2.5, radius=0.5).radius == 0.5
+    assert DetectParams(threshold=-2.5).threshold == -2.5
 
 
 def test_stream_shape_and_truth_bookkeeping():
@@ -139,64 +132,21 @@ def test_sustained_drift_moves_the_appearance():
     assert cos < 0.9
 
 
-def test_suppress_threshold_and_radius():
-    positions = np.array([[0.0, 0.0], [0.5, 0.0], [50.0, 0.0]])
-    scores = np.array([9.0, 8.0, 5.0])
-    # The close runner-up dies, the far mid scorer survives but ranks last.
-    assert suppress(positions, scores, threshold=0.0, radius=5.0) == [0, 2]
-    assert suppress(positions, scores, threshold=6.0, radius=5.0) == [0]
-    assert suppress(positions, scores, threshold=10.0, radius=5.0) == []
-    # Ties break toward the lower candidate index, stably.
-    even = np.array([[0.0, 0.0], [50.0, 0.0]])
-    assert suppress(even, np.array([2.0, 2.0]), threshold=0.0, radius=5.0) == [0, 1]
-
-
-def looped_suppress(positions, scores, threshold, radius):
-    """Reference NMS: one distance per (candidate, keeper) pair."""
-    order = np.argsort(-scores, kind="stable")
-    kept = []
-    for idx in order:
-        if scores[idx] < threshold:
-            continue
-        pos = positions[idx]
-        if any(float(np.linalg.norm(pos - positions[k])) < radius for k in kept):
-            continue
-        kept.append(int(idx))
-    return kept
-
-
-def test_suppress_matches_the_pairwise_loop():
-    rng = np.random.default_rng(12)
-    for frame in range(200):
-        m = int(rng.integers(1, 13))
-        if frame % 2:
-            positions = rng.uniform(0.0, 30.0, size=(m, 2))
-            radius = float(rng.uniform(1.0, 10.0))
-        else:
-            # Integer grid, radius 5: many pairs sit exactly 5 apart
-            # (axis-aligned or 3-4-5), which the strict < must keep.
-            positions = rng.integers(0, 12, size=(m, 2)).astype(float)
-            radius = 5.0
-        # Rounded scores tie often, exercising the index tie-break.
-        scores = np.round(rng.normal(size=m), 1)
-        threshold = float(rng.normal()) if frame % 3 else -np.inf
-        assert suppress(positions, scores, threshold, radius) == looped_suppress(
-            positions, scores, threshold, radius
-        )
-    # Both runners-up sit exactly radius from the winner and stay kept.
-    edge = np.array([[0.0, 0.0], [3.0, 4.0], [-5.0, 0.0]])
-    assert suppress(edge, np.array([3.0, 2.0, 1.0]), 0.0, 5.0) == [0, 1, 2]
-
-
 def test_detect_returns_best_survivor_or_none():
     model = LinearModel(w=np.array([1.0, 0.0]), b=0.0, threshold=0.0)
     frame = generate_stream(small_config(dim=2, frames=1))[0]
     scores = frame.features @ model.w
-    found = detect(model, frame, threshold=float(scores.min()) - 1.0, radius=0.1)
+    found = detect(model, frame, threshold=float(scores.min()) - 1.0)
     assert found is not None
     assert found.index == int(np.argmax(scores))
     assert found.score == pytest.approx(float(scores.max()))
-    assert detect(model, frame, threshold=float(scores.max()) + 1.0, radius=0.1) is None
+    assert detect(model, frame, threshold=float(scores.max()) + 1.0) is None
+    # Tied top scores go to the lowest index, and a top score equal to
+    # the threshold is kept.
+    features = np.array([[0.0, 1.0], [2.0, 0.0], [2.0, 5.0], [1.0, 0.0], [-1.0, 0.0]])
+    found = detect(model, replace(frame, features=features), threshold=2.0)
+    assert (found.index, found.score) == (1, 2.0)
+    assert np.array_equal(found.position, frame.positions[1])
 
 
 def test_detect_choice_invariant_to_positive_feature_scaling():
@@ -223,8 +173,8 @@ def test_detect_choice_invariant_to_positive_feature_scaling():
         truth_feature=features[0],
     )
     low = -1e9
-    a = detect(model, base, threshold=low, radius=0.1)
-    b = detect(model, scaled, threshold=low, radius=0.1)
+    a = detect(model, base, threshold=low)
+    b = detect(model, scaled, threshold=low)
     assert a.index == b.index
 
 
@@ -371,12 +321,9 @@ def test_drift_tracks_match_a_looped_em(monkeypatch):
     # fitted noise moves by roundoff only: on the bundled drift streams
     # every track decision must match an EM built from the looped
     # reference steps, and estimates must agree to 1e-8.
-    raw = json.loads(
-        resources.files("corestream").joinpath("configs/drift_stream.json").read_text("ascii")
-    )
     streams = []
     for seed in (0, 7):
-        config = replace(config_from_dict(raw), seed=seed)
+        config = replace(io.read_stream_config("drift_stream"), seed=seed)
         streams.append((config, generate_stream(config)))
 
     def run_all():

@@ -19,6 +19,7 @@ from corestream import (
     random_orthonormal,
     validate_view,
 )
+from corestream import bench
 
 
 def push_stream(tree: CoresetTree, count: int, seed: int = 0) -> np.ndarray:
@@ -234,6 +235,16 @@ def test_max_live_nodes_tracks_the_transient_peak():
     push_stream(tree, 4, seed=5)
     assert tree.live_node_count() == 1
     assert tree.max_live_nodes == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+def test_peak_live_nodes_never_exceed_the_bench_bound(n):
+    # After L leaves the peak is the bit length of L, which never exceeds
+    # the live_bound = floor(log2(max(points / n, 1))) + 1 that bench
+    # reports beside it, so bench needs no runtime check of its own.
+    for points in [*range(300), 1000, 4095, 4096, 4097]:
+        row = bench.stream_bench(points, n, 1, 0)
+        assert row.max_live_nodes == row.leaves.bit_length() <= row.live_bound, points
 
 
 def test_tree_memory_does_not_grow_with_the_stream():
