@@ -57,6 +57,8 @@ def _int_list(text: str, what: str) -> list[int]:
         raise CommandError(f"{what} must be a comma-separated integer list, got {text!r}")
     if not values or min(values) < 0:
         raise CommandError(f"{what} must be a non-empty list of integers >= 0, got {text!r}")
+    if len(set(values)) < len(values):
+        raise CommandError(f"{what} repeats {max(values, key=values.count)}; entries must differ")
     return values
 
 
@@ -101,8 +103,9 @@ def cmd_tree_build(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    seed = _effective_seed(args.seed)
     view = io.read_snapshot(args.snapshot)
-    history = seed = None
+    history = None
     if args.mode in ("random", "subsample"):
         if args.features is None:
             raise CommandError(
@@ -117,7 +120,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
             )
         history = features.values
     if args.mode == "random":
-        seed = _effective_seed(args.seed)
         print(f"seed: {seed}")
     sample = draw_sample(args.mode, view, history, seed)
     io.write_sample(args.out, sample, args.mode)

@@ -82,7 +82,7 @@ class KalmanState:
     @classmethod
     def _trusted(cls, x: np.ndarray, p: np.ndarray) -> "KalmanState":
         """Wrap a fresh mean and an exactly symmetric covariance."""
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise ValueError("state mean and covariance must be finite")
         _check_psd(p, "state covariance")
         x.setflags(write=False)
@@ -136,19 +136,18 @@ def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
 def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> KalmanState:
     """Fold one observed center into a predicted state.
 
-    Uses the Joseph-form covariance update, which stays symmetric
-    positive semidefinite under roundoff.  As R shrinks toward zero the
-    updated position approaches the measurement.
+    Uses the Joseph-form update, which stays symmetric PSD under roundoff.
+    H x, H P H^T and H P^T are slices, exactly equal since H selects the
+    position.  As R shrinks toward zero the position approaches z.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (OBS_DIM,):
         raise ValueError(f"observation must have shape ({OBS_DIM},), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("observation must be finite")
-    innovation = z - _H @ state.x
-    s = _H @ state.P @ _H.T + noise.R
-    gain = np.linalg.solve(s.T, (_H @ state.P.T)).T
-    x = state.x + gain @ innovation
+    s = state.P[:OBS_DIM, :OBS_DIM] + noise.R
+    gain = np.linalg.solve(s.T, state.P.T[:OBS_DIM]).T
+    x = state.x + gain @ (z - state.x[:OBS_DIM])
     ikh = _I4 - gain @ _H
     p = _sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T)
     return KalmanState._trusted(x, p)

@@ -90,16 +90,17 @@ def one_class_objective(w: np.ndarray, rows: np.ndarray, reg: float) -> float | 
     w is one weight vector of shape (d,), which gives a float, or a
     stack of shape (k, d), which gives an array of k values.
     """
-    hinge = np.maximum(1.0 - w @ rows.T, 0.0).sum(axis=-1) / rows.shape[0]
-    value = 0.5 * reg * (w * w).sum(axis=-1) + hinge
+    margins = w @ rows.T
+    np.maximum(np.subtract(1.0, margins, out=margins), 0.0, out=margins)
+    value = 0.5 * reg * (w * w).sum(axis=-1) + margins.sum(axis=-1) / rows.shape[0]
     return float(value) if w.ndim == 1 else value
 
 
 def one_class_subgradient(w: np.ndarray, rows: np.ndarray, reg: float) -> np.ndarray:
     """Subgradient of one_class_objective at w."""
     violators = rows @ w < 1.0
-    g = reg * w.copy()
-    if np.any(violators):
+    g = reg * w
+    if violators.any():
         g -= rows[violators].sum(axis=0) / rows.shape[0]
     return g
 
@@ -124,9 +125,9 @@ def binary_subgradient(
 ) -> tuple[np.ndarray, float]:
     """Subgradient of binary_objective at (w, b)."""
     violators = labels * (rows @ w + b) < 1.0
-    gw = reg * w.copy()
+    gw = reg * w
     gb = 0.0
-    if np.any(violators):
+    if violators.any():
         yv = labels[violators]
         gw -= (yv[:, None] * rows[violators]).sum(axis=0) / rows.shape[0]
         gb = -float(yv.sum()) / rows.shape[0]
@@ -148,10 +149,10 @@ def monotone_descent(
     step that cannot be made to descend is dropped.
 
     objective_fn takes a stack of points of shape (k, d) and returns
-    their k objective values.  The candidates are scored in blocks of
-    1, 2, 4, ... consecutive halvings, one objective_fn call per block,
-    and the first qualifying candidate of the first block that holds
-    one is taken, which is the step the one-at-a-time search takes.
+    their k objective values.  The first block is the full step, scored
+    on its own; the later blocks hold 2, 4, ... consecutive halvings,
+    one objective_fn call per block.  The first qualifying candidate of
+    the first block that holds one is taken: the one-at-a-time step.
 
     While x has not moved, g is the same, so subgradient_fn is called
     once per iterate, not once per iteration.  A search that finds no
@@ -167,28 +168,36 @@ def monotone_descent(
     step and after each iteration.
     """
     x = np.array(x0, dtype=float)
-    path = [float(objective_fn(x[None, :])[0])]
+    current = float(objective_fn(x[None, :])[0])
+    path = [current]
     halvings = np.ldexp(1.0, -np.arange(_BACKTRACK_LIMIT))
     g, rejected = None, np.inf
     for t in range(iterations):
         if g is None:
             g = subgradient_fn(x)
-        steps = (step_size / (t + 1.0)) * halvings
-        start, size = int(np.count_nonzero(steps >= rejected)), 1
+        base = step_size / (t + 1.0)
+        if rejected == np.inf:
+            candidate = x - base * g
+            value = float(objective_fn(candidate[None])[0])
+            if value <= current:
+                x, current, g = candidate, value, None
+                path.append(current)
+                continue
+        steps = base * halvings
+        start, size = (1, 2) if rejected == np.inf else (np.count_nonzero(steps >= rejected), 1)
         while start < _BACKTRACK_LIMIT:
             candidates = x - steps[start : start + size, None] * g
             values = objective_fn(candidates)
-            descends = values <= path[-1]
+            descends = values <= current
             if descends.any():
                 j = int(descends.argmax())
-                x = candidates[j]
-                path.append(float(values[j]))
-                g, rejected = None, np.inf
+                x, current, g, rejected = candidates[j], float(values[j]), None, np.inf
+                path.append(current)
                 break
             start += size
             size *= 2
         else:
-            path.append(path[-1])
+            path.append(current)
             rejected = min(rejected, steps[-1])
     return x, path
 

@@ -431,6 +431,10 @@ def test_nonfinite_threshold_or_bad_radius_is_a_usage_error(tmp_path, command, f
         (["reduce", "--in", "{feat}", "--n", "2", "--seed", "-1"], "--seed"),
         (["sample", "--snapshot", "{snap}", "--mode", "random", "--features", "{feat}",
           "--seed", "-1"], "--seed"),
+        (["sample", "--snapshot", "{snap}", "--mode", "hierarchical", "--seed", "-1"], "--seed"),
+        (["sample", "--snapshot", "{snap}", "--mode", "root", "--seed", "-1"], "--seed"),
+        (["sample", "--snapshot", "{snap}", "--mode", "subsample", "--features", "{feat}",
+          "--seed", "-1"], "--seed"),
         (["bench", "--mode", "time", "--grid", "-5"], "--grid"),
         (["bench", "--mode", "space", "--grid", "8", "--seed", "-1"], "--seed"),
         (["track", "--config", "drift_stream", "--seed", "-1"], "seed"),
@@ -440,7 +444,8 @@ def test_nonfinite_threshold_or_bad_radius_is_a_usage_error(tmp_path, command, f
         (["compare-sampling", "--config", "drift_stream", "--n-list", "-16", "--seeds", "0"],
          "--n-list"),
     ],
-    ids=["reduce-seed", "sample-seed", "bench-grid", "bench-seed", "track-seed",
+    ids=["reduce-seed", "sample-seed", "sample-hierarchical-seed", "sample-root-seed",
+         "sample-subsample-seed", "bench-grid", "bench-seed", "track-seed",
          "track-config-seed", "compare-seeds", "compare-n-list"],
 )
 def test_negative_seeds_and_list_values_are_refused_before_any_output(tmp_path, args, name):
@@ -454,6 +459,27 @@ def test_negative_seeds_and_list_values_are_refused_before_any_output(tmp_path, 
     assert result.returncode == 2
     assert f"{name} must be" in result.stderr
     assert "seed:" not in result.stdout
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args, name, value",
+    [
+        (["compare-sampling", "--config", "drift_stream", "--n-list", "16", "--seeds", "0,0"],
+         "--seeds", "0"),
+        (["compare-sampling", "--config", "drift_stream", "--n-list", "16,8,16", "--seeds", "0"],
+         "--n-list", "16"),
+        (["bench", "--mode", "time", "--grid", "8,64,64"], "--grid", "64"),
+    ],
+    ids=["compare-seeds", "compare-n-list", "bench-grid"],
+)
+def test_repeated_list_entries_are_refused_before_any_output(tmp_path, args, name, value):
+    # A repeated seed would run twice, write its rows twice and count
+    # twice in the printed means.
+    result = run_cli(*args, "--out", str(tmp_path / "o"))
+    assert result.returncode == 2
+    assert f"{name} repeats {value};" in result.stderr
+    assert result.stdout == ""
     assert not (tmp_path / "o").exists()
 
 

@@ -193,6 +193,31 @@ def test_filter_states_match_the_validating_constructor_bit_for_bit():
         assert np.array_equal(fast.x, slow.x) and np.array_equal(fast.P, slow.P)
 
 
+def test_update_slices_equal_the_read_out_matrix_form_bit_for_bit():
+    # H is a 0/1 selection, so H x, H P H^T and H P^T are slices of x and
+    # P exactly.  Coasting steps (predict only) let P grow between updates.
+    def matrix_update(state, z, noise):
+        s = _H @ state.P @ _H.T + noise.R
+        gain = np.linalg.solve(s.T, (_H @ state.P.T)).T
+        ikh = np.eye(4) - gain @ _H
+        return KalmanState._trusted(
+            state.x + gain @ (z - _H @ state.x),
+            _sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T),
+        )
+
+    _, zs = cv_track(300, seed=31)
+    noise = em_fit(zs[:40], iterations=5)
+    coast = np.random.default_rng(31).random(300) < 0.25
+    assert 50 < coast.sum() < 100
+    fast = slow = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
+    for z, skip in zip(zs[1:], coast[1:]):
+        fast, slow = kalman_predict(fast, noise), kalman_predict(slow, noise)
+        if skip:
+            continue
+        fast, slow = kalman_update(fast, z, noise), matrix_update(slow, z, noise)
+        assert fast.x.tobytes() == slow.x.tobytes() and fast.P.tobytes() == slow.P.tobytes()
+
+
 def test_em_fit_input_validation():
     with pytest.raises(ValueError):
         em_fit(np.ones((3, 2)))

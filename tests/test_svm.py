@@ -263,6 +263,82 @@ def test_objectives_take_a_point_or_a_stack():
         assert abs(binary[i] - single) <= 1e-12
 
 
+def allocating_one_class_objective(w, rows, reg):
+    hinge = np.maximum(1.0 - w @ rows.T, 0.0).sum(axis=-1) / rows.shape[0]
+    value = 0.5 * reg * (w * w).sum(axis=-1) + hinge
+    return float(value) if w.ndim == 1 else value
+
+
+def allocating_one_class_subgradient(w, rows, reg):
+    violators = rows @ w < 1.0
+    g = reg * w.copy()
+    if np.any(violators):
+        g -= rows[violators].sum(axis=0) / rows.shape[0]
+    return g
+
+
+def allocating_binary_objective(w, b, rows, labels, reg):
+    scores = w @ rows.T + np.asarray(b)[..., None]
+    hinge = np.maximum(1.0 - labels * scores, 0.0).sum(axis=-1) / rows.shape[0]
+    value = 0.5 * reg * (w * w).sum(axis=-1) + hinge
+    return float(value) if w.ndim == 1 else value
+
+
+def allocating_binary_subgradient(w, b, rows, labels, reg):
+    violators = labels * (rows @ w + b) < 1.0
+    gw = reg * w.copy()
+    gb = 0.0
+    if np.any(violators):
+        yv = labels[violators]
+        gw -= (yv[:, None] * rows[violators]).sum(axis=0) / rows.shape[0]
+        gb = -float(yv.sum()) / rows.shape[0]
+    return gw, gb
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_objectives_and_subgradients_equal_the_allocating_forms_bit_for_bit(k):
+    # The in-place objectives keep every operand and its order, so they
+    # equal the forms that allocate a temporary per step, bit for bit.
+    rng = np.random.default_rng(100 + k)
+    rows = rng.standard_normal((17, 16)) + 0.5
+    labels = np.sign(rng.standard_normal(17))
+    # Random points violate some margins; zero violates every one and a
+    # long step along the rows' mean violates none.
+    stack = np.vstack([rng.standard_normal((k, 16)), np.zeros(16), 50.0 * rows.mean(axis=0)])
+    b = rng.standard_normal(stack.shape[0])
+    assert not (rows @ stack[-1] < 1.0).any()
+    for reg in (1e-3, 0.37):
+        for ws, bs in ((stack[:k], b[:k]), (stack, b)):
+            assert same_bits(
+                one_class_objective(ws, rows, reg), allocating_one_class_objective(ws, rows, reg)
+            )
+            assert same_bits(
+                binary_objective(ws, bs, rows, labels, reg),
+                allocating_binary_objective(ws, bs, rows, labels, reg),
+            )
+        for w, bw in zip(stack, b):
+            assert same_bits(
+                one_class_objective(w, rows, reg), allocating_one_class_objective(w, rows, reg)
+            )
+            assert same_bits(
+                one_class_subgradient(w, rows, reg),
+                allocating_one_class_subgradient(w, rows, reg),
+            )
+            assert same_bits(
+                binary_objective(w, float(bw), rows, labels, reg),
+                allocating_binary_objective(w, float(bw), rows, labels, reg),
+            )
+            for got, want in zip(
+                binary_subgradient(w, float(bw), rows, labels, reg),
+                allocating_binary_subgradient(w, float(bw), rows, labels, reg),
+            ):
+                assert same_bits(got, want)
+
+
 def test_one_class_subgradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((25, 6))

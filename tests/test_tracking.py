@@ -132,7 +132,7 @@ def test_sustained_drift_moves_the_appearance():
     assert cos < 0.9
 
 
-def test_detect_returns_best_survivor_or_none():
+def test_detect_returns_top_candidate_or_none():
     model = LinearModel(w=np.array([1.0, 0.0]), b=0.0, threshold=0.0)
     frame = generate_stream(small_config(dim=2, frames=1))[0]
     scores = frame.features @ model.w
