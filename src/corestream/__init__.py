@@ -38,13 +38,11 @@ from .kalman import (
     KalmanState,
     NoiseParams,
     em_fit,
-    em_fit_detailed,
     kalman_predict,
     kalman_update,
 )
 from .tracking import (
     DetectParams,
-    Detection,
     Frame,
     FrameRecord,
     SyntheticStreamConfig,
@@ -63,7 +61,6 @@ __all__ = [
     "CoresetTree",
     "DataBlock",
     "DetectParams",
-    "Detection",
     "Frame",
     "FrameRecord",
     "KalmanState",
@@ -84,7 +81,6 @@ __all__ = [
     "detect",
     "dist_sq",
     "em_fit",
-    "em_fit_detailed",
     "generate_stream",
     "hierarchical_sample",
     "kalman_predict",

@@ -50,13 +50,6 @@ class SvmBenchRow:
     full_train_seconds: float
 
 
-def build_tree(points: int, n: int, dim: int, seed: int) -> CoresetTree:
-    """Push a seeded Gaussian stream of the given length through a tree."""
-    tree = CoresetTree(n, dim)
-    tree.push_rows(np.random.default_rng(seed).standard_normal((points, dim)))
-    return tree
-
-
 def stream_bench(points: int, n: int, dim: int, seed: int) -> StreamBenchRow:
     """Build a tree over one stream length and summarize its counters.
 

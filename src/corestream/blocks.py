@@ -166,8 +166,9 @@ def svd_truncate(values: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     far above that error.  A near-lossless cut (a rank-deficient input)
     falls back to the SVD, whose squared singular values err by only
     about eps**2 * lambda_max.  Negative eigenvalues are clipped to 0,
-    never small positive ones, so tail can only rise and stays an upper
-    bound on the energy dropped.
+    never small positive ones, so clipping can only raise tail.  On
+    either path tail matches the energy dropped only to within about
+    dim * eps * lambda_max, from either side.
     """
     m, dim = values.shape
     spectrum = _gram_spectrum(values, n) if m >= dim > n else None

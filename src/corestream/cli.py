@@ -103,10 +103,13 @@ def cmd_tree_build(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    flat = args.mode in ("random", "subsample")
+    if args.features is not None and not flat:
+        raise CommandError(f"--features is only for random and subsample, not --mode {args.mode}")
     seed = _effective_seed(args.seed)
     view = io.read_snapshot(args.snapshot)
     history = None
-    if args.mode in ("random", "subsample"):
+    if flat:
         if args.features is None:
             raise CommandError(
                 f"--mode {args.mode} samples from raw history; pass the original "
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=SAMPLER_MODES)
     p.add_argument("--out", required=True, help="sample CSV")
     p.add_argument(
-        "--features", default=None, help="raw stream file, required for random/subsample"
+        "--features", default=None, help="raw stream file, for random/subsample only"
     )
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sample)

@@ -96,10 +96,6 @@ class KalmanState:
     def position(self) -> np.ndarray:
         return self.x[:OBS_DIM]
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.x[OBS_DIM:]
-
 
 @dataclass(frozen=True, eq=False)
 class NoiseParams:
@@ -268,12 +264,11 @@ def _em_once(
     return q_new, r_new, loglik
 
 
-def em_fit_detailed(centers: np.ndarray, iterations: int) -> tuple[NoiseParams, list[float]]:
-    """EM fit that also reports the log-likelihood before each sweep.
+def em_fit(centers: np.ndarray, iterations: int = 20) -> tuple[NoiseParams, list[float]]:
+    """Fit process and measurement covariances to a center sequence.
 
-    Each E-step is a parallel-prefix Kalman smoother in ceil(log2 T)
-    batched levels (Sarkka & Garcia-Fernandez, IEEE TAC 2021).  The list
-    has one entry per iteration and is non-decreasing up to the covariance floor.
+    Returns the fit and the log-likelihood before each sweep: one entry
+    per iteration, non-decreasing up to the covariance floor.
     """
     zs = np.asarray(centers, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != OBS_DIM:
@@ -290,9 +285,3 @@ def em_fit_detailed(centers: np.ndarray, iterations: int) -> tuple[NoiseParams, 
         q, r, loglik = _em_once(zs, q, r, mu0, p0)
         history.append(loglik)
     return NoiseParams(Q=q, R=r), history
-
-
-def em_fit(centers: np.ndarray, iterations: int = 20) -> NoiseParams:
-    """Fit process and measurement covariances to a center sequence."""
-    fitted, _ = em_fit_detailed(centers, iterations)
-    return fitted

@@ -140,19 +140,9 @@ class Frame:
     truth_feature: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Detection:
-    """The winning candidate of one frame."""
-
-    index: int
-    position: np.ndarray
-    feature: np.ndarray
-    score: float
-
-
 @dataclass(frozen=True)
 class DetectParams:
-    """Detection-side knobs.
+    """Knobs of detect.
 
     threshold None means use the model's trained threshold, and any
     other must be finite.  A frame's detection is its top-scoring
@@ -300,19 +290,14 @@ def generate_stream(config: SyntheticStreamConfig) -> list[Frame]:
     return frames
 
 
-def detect(model: LinearModel, frame: Frame, threshold: float) -> Detection | None:
-    """Top-scoring candidate of a frame, the lowest index among ties, or
-    None if it scores below the threshold."""
+def detect(model: LinearModel, frame: Frame, threshold: float) -> tuple[int, float] | None:
+    """Index and score of a frame's top-scoring candidate, the lowest
+    index among ties, or None if it scores below the threshold."""
     scores = decisions(model, frame.features)
     best = int(np.argmax(scores))
     if scores[best] < threshold:
         return None
-    return Detection(
-        index=best,
-        position=frame.positions[best].copy(),
-        feature=frame.features[best].copy(),
-        score=float(scores[best]),
-    )
+    return best, float(scores[best])
 
 
 def _initial_kalman(centers: Sequence[np.ndarray]) -> KalmanState:
@@ -415,9 +400,11 @@ def track_stream(
             if found is None:
                 chosen, score, position, rows = -1, float("nan"), None, None
             else:
-                state = kalman_update(state, found.position, noise)
-                chosen, score, position = found.index, found.score, found.position
-                rows = found.feature[None]
+                chosen, score = found
+                position = frame.positions[chosen]
+                state = kalman_update(state, position, noise)
+                # history keeps this row, so it must not view the caller's frame.
+                rows = frame.features[chosen : chosen + 1].copy()
             estimate = state.position
         correct = chosen == frame.truth_index or (
             position is not None
@@ -440,7 +427,7 @@ def track_stream(
             history.extend(rows)
         if tree.push_rows(rows):
             if tree.leaves_seen % tracker.em_every == 0 and len(centers) >= 4:
-                noise = em_fit(np.vstack(centers), EM_ITERATIONS)
+                noise, _ = em_fit(np.vstack(centers), EM_ITERATIONS)
             # One push may finish several leaves but retrains once: seed by retrains.
             seed = None
             if tracker.sampler == "random":

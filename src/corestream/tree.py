@@ -221,10 +221,6 @@ class CoresetTree(_Counters):
                 leaves_seen=self._leaves_seen,
             )
 
-    def root_collapse(self) -> CoresetBlock:
-        """Single summary of everything seen so far; the tree is unchanged."""
-        return collapse(self.snapshot())
-
 
 def collapse(view: TreeView) -> CoresetBlock:
     """Merge every live node plus pending rows into one summary block.

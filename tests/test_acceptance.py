@@ -23,10 +23,10 @@ from corestream import (
     SampleSet,
     TrackerParams,
     TrainParams,
+    collapse,
     decisions,
     dist_sq,
     em_fit,
-    em_fit_detailed,
     hierarchical_sample,
     kalman_predict,
     kalman_update,
@@ -38,7 +38,7 @@ from corestream import (
     train_one_class,
 )
 from corestream import io
-from corestream.bench import build_tree, compare_samplers, summarize_comparison
+from corestream.bench import compare_samplers, summarize_comparison
 from corestream.blocks import ENERGY_FLOOR
 from corestream.svm import (
     monotone_descent,
@@ -260,7 +260,7 @@ def test_criterion_07_root_collapse_fidelity():
         tree = CoresetTree(8, 12)
         for row in rows:
             tree.push_point(row)
-        eps = measure_epsilon(DataBlock(rows), tree.root_collapse(), k=3, trials=20, seed=leaves)
+        eps = measure_epsilon(DataBlock(rows), collapse(tree.snapshot()), k=3, trials=20, seed=leaves)
         worst_clean = max(worst_clean, eps)
     clean_ok = worst_clean <= 1e-8
 
@@ -274,7 +274,7 @@ def test_criterion_07_root_collapse_fidelity():
         tree = CoresetTree(8, 12)
         for row in rows:
             tree.push_point(row)
-        root = tree.root_collapse()
+        root = collapse(tree.snapshot())
         c_replay = _replay_collapse_c(rows, 8)
         c_ok = abs(root.c - c_replay) <= 1e-9 * max(c_replay, 1e-30)
         block = DataBlock(rows)
@@ -427,7 +427,7 @@ def test_criterion_11_kalman_em():
     worst_drop = 0.0
     for seed in range(20):
         _, zs = _cv_track(80, seed)
-        _, path = em_fit_detailed(zs, 30)
+        _, path = em_fit(zs, 30)
         for a, b in zip(path, path[1:]):
             worst_drop = max(worst_drop, a - b)
     mono_ok = worst_drop <= 0.0
@@ -439,14 +439,14 @@ def test_criterion_11_kalman_em():
     for _ in range(500):
         zs.append(pos + 2.0 * rng.standard_normal(2))
         pos = pos + vel
-    fitted = em_fit(np.array(zs), 30)
+    fitted, _ = em_fit(np.array(zs), 30)
     r_err = float(np.max(np.abs(np.diag(fitted.R) - 4.0) / 4.0))
     r_ok = r_err <= 0.20
 
     wins = 0
     for seed in range(20):
         truth, zs = _cv_track(120, seed, 2.0, 0.05)
-        noise = em_fit(zs[:40], 15)
+        noise, _ = em_fit(zs[:40], 15)
         state = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
         est = [state.position.copy()]
         for z in zs[1:]:
@@ -482,7 +482,8 @@ def test_criterion_12_training_time_flatness():
     grid = (1000, 10000, 100000)
     sizes, mats = [], []
     for p in grid:
-        tree = build_tree(p, 256, 256, 0)
+        tree = CoresetTree(256, 256)
+        tree.push_rows(np.random.default_rng(0).standard_normal((p, 256)))
         s = hierarchical_sample(tree.snapshot())
         sizes.append(s.rows.rows)
         mats.append(np.array(s.rows.values))

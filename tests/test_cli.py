@@ -239,6 +239,15 @@ def test_sample_modes_and_random_determinism(tmp_path):
     )
     assert missing.returncode == 2
     assert "--features" in missing.stderr
+    # The tree-backed modes refuse --features before reading anything.
+    for mode in ("hierarchical", "root"):
+        stray = run_cli(
+            "sample", "--snapshot", snap, "--mode", mode,
+            "--features", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "y"),
+        )
+        assert stray.returncode == 2
+        assert "--features" in stray.stderr and stray.stdout == ""
+        assert not (tmp_path / "y").exists()
 
 
 @pytest.mark.parametrize("shape", [(26, 7), (25, 3)], ids=["wrong-dim", "wrong-rows"])

@@ -9,7 +9,6 @@ from corestream import (
     KalmanState,
     NoiseParams,
     em_fit,
-    em_fit_detailed,
     kalman_predict,
     kalman_update,
 )
@@ -68,7 +67,7 @@ def test_state_validation():
         KalmanState(x=np.zeros(4), P=-np.eye(4))
     state = KalmanState(x=np.array([1.0, 2.0, 3.0, 4.0]), P=np.eye(4))
     assert np.array_equal(state.position, [1.0, 2.0])
-    assert np.array_equal(state.velocity, [3.0, 4.0])
+    assert np.array_equal(state.x[2:], [3.0, 4.0])
 
 
 def test_noise_params_validation_and_default():
@@ -104,7 +103,7 @@ def test_predict_moves_at_constant_velocity_and_inflates_covariance():
     noise = NoiseParams(Q=0.1 * np.eye(4), R=np.eye(2))
     ahead = kalman_predict(state, noise)
     assert np.allclose(ahead.position, [1.0, 2.0])
-    assert np.allclose(ahead.velocity, [1.0, 2.0])
+    assert np.allclose(ahead.x[2:], [1.0, 2.0])
     assert np.trace(ahead.P) > np.trace(state.P)
 
 
@@ -184,7 +183,7 @@ def test_filter_states_match_the_validating_constructor_bit_for_bit():
         )
 
     _, zs = cv_track(21, seed=12)
-    noise = em_fit(zs, iterations=5)
+    noise, _ = em_fit(zs, iterations=5)
     fast = slow = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
     for z in zs[1:]:
         fast, slow = kalman_predict(fast, noise), checked_predict(slow, noise)
@@ -206,7 +205,7 @@ def test_update_slices_equal_the_read_out_matrix_form_bit_for_bit():
         )
 
     _, zs = cv_track(300, seed=31)
-    noise = em_fit(zs[:40], iterations=5)
+    noise, _ = em_fit(zs[:40], iterations=5)
     coast = np.random.default_rng(31).random(300) < 0.25
     assert 50 < coast.sum() < 100
     fast = slow = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
@@ -233,7 +232,7 @@ def test_em_fit_input_validation():
 
 def test_em_likelihood_never_decreases():
     _, zs = cv_track(60, seed=3, r_std=1.0, q_vel=0.2)
-    _, history = em_fit_detailed(zs, iterations=25)
+    _, history = em_fit(zs, iterations=25)
     assert len(history) == 25
     for earlier, later in zip(history, history[1:]):
         assert later >= earlier - 1e-7 * (1.0 + abs(earlier))
@@ -241,7 +240,7 @@ def test_em_likelihood_never_decreases():
 
 def test_em_recovers_measurement_noise_scale():
     _, zs = cv_track(500, seed=0, r_std=2.0, q_vel=0.05)
-    fitted = em_fit(zs, iterations=30)
+    fitted, _ = em_fit(zs, iterations=30)
     for v in np.diag(fitted.R):
         assert 4.0 * 0.75 <= v <= 4.0 * 1.25
     # Process noise should come out far smaller than measurement noise here.
@@ -250,15 +249,15 @@ def test_em_recovers_measurement_noise_scale():
 
 def test_em_fit_deterministic():
     _, zs = cv_track(50, seed=9)
-    a = em_fit(zs, iterations=10)
-    b = em_fit(zs, iterations=10)
+    a, _ = em_fit(zs, iterations=10)
+    b, _ = em_fit(zs, iterations=10)
     assert np.array_equal(a.Q, b.Q)
     assert np.array_equal(a.R, b.R)
 
 
 def test_filter_beats_raw_measurements():
     truth, zs = cv_track(120, seed=101, r_std=2.0, q_vel=0.05)
-    noise = em_fit(zs[:40], iterations=15)
+    noise, _ = em_fit(zs[:40], iterations=15)
     state = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
     estimates = [state.position.copy()]
     for z in zs[1:]:
@@ -275,7 +274,7 @@ def test_em_handles_identical_centers():
     # Degenerate input: every observation the same point. The covariance
     # floor must keep the innovation invertible instead of blowing up.
     zs = np.tile(np.array([3.0, 4.0]), (12, 1))
-    fitted = em_fit(zs, iterations=5)
+    fitted, _ = em_fit(zs, iterations=5)
     assert np.all(np.isfinite(fitted.Q))
     assert np.all(np.isfinite(fitted.R))
     assert np.all(np.diag(fitted.Q) >= 1e-9)

@@ -12,6 +12,7 @@ from corestream import (
     RAW_LEVEL,
     RowTag,
     SampleSet,
+    collapse,
     hierarchical_sample,
     random_sample,
     root_sample,
@@ -179,7 +180,7 @@ def test_root_sample_is_the_collapse():
     sample = root_sample(view)
     assert sample.rows.rows <= n
     assert all(tag.level == view.nodes[0].level for tag in sample.tags)
-    root = tree.root_collapse()
+    root = collapse(view)
     assert np.array_equal(sample.rows.values, root.block.values)
 
 

@@ -414,7 +414,7 @@ def test_collapse_single_node_is_that_summary():
 def test_collapse_pending_only():
     tree = CoresetTree(5, 2)
     rows = push_stream(tree, 3, seed=9)
-    out = tree.root_collapse()
+    out = collapse(tree.snapshot())
     assert out.c == 0.0
     assert np.allclose(out.block.values, rows)
     assert out.source_rows == 3
@@ -423,7 +423,7 @@ def test_collapse_pending_only():
 def test_root_collapse_respects_budget_and_conservation():
     tree = CoresetTree(4, 5)
     push_stream(tree, 57, seed=10)
-    root = tree.root_collapse()
+    root = collapse(tree.snapshot())
     assert root.block.rows <= 4
     assert root.source_rows == 57
     assert root.c >= 0.0
@@ -438,7 +438,7 @@ def test_root_collapse_exact_on_low_rank_stream():
     tree = CoresetTree(n, dim)
     for row in rows:
         tree.push_point(row)
-    root = tree.root_collapse()
+    root = collapse(tree.snapshot())
     everything = DataBlock(rows)
     for t in range(20):
         y = random_orthonormal(dim, 1 + t % (dim - 1), 500 + t)
@@ -466,7 +466,7 @@ def test_root_collapse_is_canonical_when_the_fold_fits_the_budget(n, dim, points
     view = tree.snapshot()
     parts = [node.summary.block.values for node in view.nodes] + [view.pending]
     assert sum(part.shape[0] for part in parts) <= n
-    root = tree.root_collapse()
+    root = collapse(view)
     assert root.block.rows == min(n, dim)
     norms = np.linalg.norm(root.block.values, axis=1)
     assert np.all(np.diff(norms) <= 0.0)
