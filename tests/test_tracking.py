@@ -11,6 +11,7 @@ from corestream import (
     CoresetTree,
     DataBlock,
     DetectParams,
+    Frame,
     FrameRecord,
     LinearModel,
     NoiseParams,
@@ -123,6 +124,102 @@ def test_stream_deterministic_per_seed():
         assert fa.truth_index == fb.truth_index
     other = generate_stream(small_config(seed=1))
     assert not np.array_equal(a[0].features, other[0].features)
+
+
+# The per-candidate generator that generate_stream replaced, kept as the
+# oracle of its draw order and arithmetic.
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 0 else v
+
+
+def _unit_nonneg(v: np.ndarray) -> np.ndarray:
+    return _unit(np.abs(v))
+
+
+def _reference_stream(config: SyntheticStreamConfig) -> list[Frame]:
+    rng = np.random.default_rng(config.seed)
+    d = config.dim
+    feature = _unit_nonneg(rng.standard_normal(d))
+    margin = config.spacing
+    low, high = margin, config.arena - margin
+    pos = rng.uniform(low, high, size=2)
+    heading = rng.uniform(0.0, 2.0 * math.pi)
+    vel = config.speed * np.array([math.cos(heading), math.sin(heading)])
+    frames: list[Frame] = []
+    for t in range(config.frames):
+        m = 1 + config.distractor_count
+        positions = np.zeros((m, 2))
+        features = np.zeros((m, d))
+        positions[0] = pos
+        features[0] = feature + config.noise_scale * rng.standard_normal(d)
+        for j in range(1, m):
+            while True:
+                p = rng.uniform(0.0, config.arena, size=2)
+                if float(np.linalg.norm(p - pos)) >= config.spacing:
+                    break
+            positions[j] = p
+            blend = config.distractor_similarity
+            raw = blend * feature + (1.0 - blend) * _unit_nonneg(rng.standard_normal(d))
+            features[j] = _unit(raw) + config.noise_scale * rng.standard_normal(d)
+        order = rng.permutation(m)
+        truth_index = int(np.where(order == 0)[0][0])
+        frames.append(
+            Frame(
+                index=t,
+                positions=positions[order],
+                features=features[order],
+                truth_index=truth_index,
+                truth_position=pos.copy(),
+                truth_feature=feature.copy(),
+            )
+        )
+        # Advance the target: feature drift on the unit sphere, then
+        # noisy constant-velocity motion reflected at the walls.
+        if config.drift_rate > 0:
+            step = config.drift_rate * _unit(rng.standard_normal(d))
+            feature = _unit_nonneg(feature + step)
+        vel = vel + config.process_noise * rng.standard_normal(2)
+        pos = pos + vel
+        for axis in range(2):
+            if pos[axis] < low:
+                pos[axis] = 2 * low - pos[axis]
+                vel[axis] = -vel[axis]
+            elif pos[axis] > high:
+                pos[axis] = 2 * high - pos[axis]
+                vel[axis] = -vel[axis]
+            pos[axis] = min(max(pos[axis], low), high)
+    return frames
+
+
+def _oracle_configs():
+    for name in ("drift_stream", "easy_stream"):
+        for seed in range(5):
+            config = replace(io.read_stream_config(name), seed=seed)
+            yield pytest.param(config, id=f"{name}-seed{seed}")
+    edges = dict(
+        no_distractors=dict(distractor_count=0),
+        one_distractor=dict(distractor_count=1),
+        dim_1=dict(dim=1),
+        frozen=dict(drift_rate=0.0, noise_scale=0.0),
+        unblended=dict(distractor_similarity=0.0),
+    )
+    for label, overrides in edges.items():
+        yield pytest.param(small_config(seed=3, **overrides), id=label)
+
+
+@pytest.mark.parametrize("config", list(_oracle_configs()))
+def test_stream_matches_the_per_candidate_reference_bit_for_bit(config):
+    # Compared within one process: a stored digest would also pin this
+    # machine's BLAS dot kernel.
+    got, want = generate_stream(config), _reference_stream(config)
+    assert len(got) == len(want) == config.frames
+    for a, b in zip(got, want):
+        assert (a.index, a.truth_index) == (b.index, b.truth_index)
+        for name in ("positions", "features", "truth_position", "truth_feature"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.shape, x.dtype) == (y.shape, y.dtype), (a.index, name)
+            assert x.tobytes() == y.tobytes(), (a.index, name)
 
 
 def test_sustained_drift_moves_the_appearance():
