@@ -112,16 +112,17 @@ def compare_samplers(
 ) -> list[dict]:
     """Paired sampler comparison on identical streams.
 
-    For every n and seed, one stream is generated and each sampler mode
-    runs its own loop over it.  Returns one record per (n, seed, mode)
-    with the final success rate.
+    Each seed's stream is generated once, and every (n, mode) cell runs
+    its own loop over it; the stream is dropped before the next seed's.
+    Returns one record per (n, seed, mode), in that order, with the
+    final success rate.
     """
     base_tracker = tracker or TrackerParams()
-    rows: list[dict] = []
-    for n in n_values:
-        for seed in seeds:
-            cfg = replace(config, seed=seed)
-            frames = generate_stream(cfg)
+    success: dict[tuple[int, int, str], float] = {}
+    for seed in seeds:
+        cfg = replace(config, seed=seed)
+        frames = generate_stream(cfg)
+        for n in n_values:
             for mode in SAMPLER_MODES:
                 run = track_stream(
                     frames,
@@ -130,15 +131,14 @@ def compare_samplers(
                     train_params=train_params,
                     detect_params=detect_params,
                 )
-                rows.append(
-                    {
-                        "n": n,
-                        "seed": seed,
-                        "mode": mode,
-                        "success": run.success_rate,
-                    }
-                )
-    return rows
+                success[n, seed, mode] = run.success_rate
+        del frames
+    return [
+        {"n": n, "seed": seed, "mode": mode, "success": success[n, seed, mode]}
+        for n in n_values
+        for seed in seeds
+        for mode in SAMPLER_MODES
+    ]
 
 
 def summarize_comparison(rows: list[dict]) -> dict[tuple[int, str], float]:

@@ -217,9 +217,16 @@ class TrackRun:
         return float(sum(1 for r in scored if r.correct)) / len(scored)
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm of a 1-D float vector, bit for bit, at a third of its cost.
+    return math.sqrt(v.dot(v))
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    return v / norm if norm > 0 else v
+    # v, or each row of a matrix v, over its norm; a zero row, over 1.0, stays as it is.
+    if v.ndim == 1:
+        return v / (_norm(v) or 1.0)
+    return v / np.array([_norm(row) or 1.0 for row in v])[:, None]
 
 
 def _unit_nonneg(v: np.ndarray) -> np.ndarray:
@@ -234,40 +241,45 @@ def generate_stream(config: SyntheticStreamConfig) -> list[Frame]:
     """Deterministic synthetic candidate stream for one seed.
 
     Features are unit vectors in the nonnegative orthant, mirroring
-    real appearance descriptors.
+    real appearance descriptors.  Draw order, which every stream rests
+    on: initial feature, position, heading; then per frame the target's
+    noise; per distractor, uniform positions until one lies spacing
+    from the target, then its direction and noise (dim normals each);
+    the permutation; the drift step if drift_rate > 0; process noise.
     """
     rng = np.random.default_rng(config.seed)
     d = config.dim
     feature = _unit_nonneg(rng.standard_normal(d))
-    margin = config.spacing
-    low, high = margin, config.arena - margin
+    low, high = config.spacing, config.arena - config.spacing
     pos = rng.uniform(low, high, size=2)
     heading = rng.uniform(0.0, 2.0 * math.pi)
     vel = config.speed * np.array([math.cos(heading), math.sin(heading)])
+    m = 1 + config.distractor_count
+    blend = config.distractor_similarity
+    # Generator fills in order: draws[j] is distractor j's direction, then noise, draw.
+    draws = np.empty((m - 1, 2, d))
     frames: list[Frame] = []
     for t in range(config.frames):
-        m = 1 + config.distractor_count
-        positions = np.zeros((m, 2))
-        features = np.zeros((m, d))
+        positions = np.empty((m, 2))
+        features = np.empty((m, d))
         positions[0] = pos
         features[0] = feature + config.noise_scale * rng.standard_normal(d)
         for j in range(1, m):
             while True:
                 p = rng.uniform(0.0, config.arena, size=2)
-                if float(np.linalg.norm(p - pos)) >= config.spacing:
+                if _norm(p - pos) >= config.spacing:
                     break
             positions[j] = p
-            blend = config.distractor_similarity
-            raw = blend * feature + (1.0 - blend) * _unit_nonneg(rng.standard_normal(d))
-            features[j] = _unit(raw) + config.noise_scale * rng.standard_normal(d)
+            rng.standard_normal(out=draws[j - 1])
+        raw = blend * feature + (1.0 - blend) * _unit_nonneg(draws[:, 0])
+        features[1:] = _unit(raw) + config.noise_scale * draws[:, 1]
         order = rng.permutation(m)
-        truth_index = int(np.where(order == 0)[0][0])
         frames.append(
             Frame(
                 index=t,
                 positions=positions[order],
                 features=features[order],
-                truth_index=truth_index,
+                truth_index=int(order.argmin()),
                 truth_position=pos.copy(),
                 truth_feature=feature.copy(),
             )
@@ -279,13 +291,10 @@ def generate_stream(config: SyntheticStreamConfig) -> list[Frame]:
             feature = _unit_nonneg(feature + step)
         vel = vel + config.process_noise * rng.standard_normal(2)
         pos = pos + vel
-        for axis in range(2):
-            if pos[axis] < low:
-                pos[axis] = 2 * low - pos[axis]
-                vel[axis] = -vel[axis]
-            elif pos[axis] > high:
-                pos[axis] = 2 * high - pos[axis]
-                vel[axis] = -vel[axis]
+        for axis, x in enumerate(pos):
+            wall = low if x < low else high if x > high else None
+            if wall is not None:
+                pos[axis], vel[axis] = 2 * wall - x, -vel[axis]
             pos[axis] = min(max(pos[axis], low), high)
     return frames
 
@@ -408,7 +417,7 @@ def track_stream(
             estimate = state.position
         correct = chosen == frame.truth_index or (
             position is not None
-            and float(np.linalg.norm(position - frame.truth_position)) <= tolerance
+            and _norm(position - frame.truth_position) <= tolerance
         )
         records.append(
             FrameRecord(

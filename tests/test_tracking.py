@@ -23,7 +23,7 @@ from corestream import (
     generate_stream,
     track_stream,
 )
-from corestream import io, tracking
+from corestream import io, svm, tracking
 from corestream.kalman import _initial_guesses
 from corestream.tracking import config_from_dict, draw_sample
 
@@ -190,6 +190,21 @@ def _reference_stream(config: SyntheticStreamConfig) -> list[Frame]:
                 vel[axis] = -vel[axis]
             pos[axis] = min(max(pos[axis], low), high)
     return frames
+
+
+def test_norm_and_unit_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for d in range(1, 41):
+        v = rng.standard_normal(d)
+        assert tracking._norm(v) == float(np.linalg.norm(v))
+    # Zero rows, signed zeros included, stay exactly as they are.
+    rows = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [3.0, 0.0, 4.0], [1e-3, 2.0, -7.5]])
+    got = tracking._unit(rows)
+    assert got.shape == rows.shape
+    for row, want in zip(got, rows):
+        assert row.tobytes() == _unit(want).tobytes()
+        assert tracking._unit(want).tobytes() == _unit(want).tobytes()
+    assert tracking._unit(np.zeros((0, 3))).shape == (0, 3)
 
 
 def _oracle_configs():
@@ -485,3 +500,46 @@ def test_drift_tracks_match_a_looped_em(monkeypatch):
             )
             assert repr(got.score) == repr(want.score)
             assert np.allclose(got.estimate, want.estimate, rtol=0.0, atol=1e-8)
+
+
+def test_loop_decisions_equal_those_of_the_row_mean_model(monkeypatch):
+    # On the bundled streams the solver's violators (rows scoring below 1)
+    # are all rows or none, so its w points along the mean of the rows it
+    # trains on.  A model that is that mean, under the same nu-quantile
+    # threshold, must then make every decision the solver's model makes;
+    # only the score column's scale may differ.
+    streams = []
+    for name in ("drift_stream", "easy_stream"):
+        for seed in range(3):
+            config = replace(io.read_stream_config(name), seed=seed)
+            streams.append((config, generate_stream(config)))
+    trained = []
+
+    def mean_model(samples, params):
+        rows = samples.rows.values
+        w = rows.mean(0)
+        trained.append(rows.shape[0])
+        return LinearModel(w=w, b=0.0, threshold=svm._score_quantile(rows @ w, params.nu))
+
+    def run_all():
+        return [
+            track_stream(
+                frames,
+                config,
+                tracker=TrackerParams(n=16, sampler=sampler, em_every=2),
+                train_params=TrainParams(iterations=120),
+                detect_params=DetectParams(threshold=threshold),
+            )
+            for config, frames in streams
+            for sampler in ("hierarchical", "root", "random", "subsample")
+            for threshold in (0.0, None)
+        ]
+
+    solver = run_all()
+    monkeypatch.setattr(tracking, "train_one_class", mean_model)
+    mean = run_all()
+    assert len(solver) == len(mean) == 48 and trained
+    for got, want in zip(mean, solver):
+        assert [(r.chosen, r.correct, r.estimate, r.model_points) for r in got.records] == [
+            (r.chosen, r.correct, r.estimate, r.model_points) for r in want.records
+        ]
