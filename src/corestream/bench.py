@@ -112,17 +112,16 @@ def compare_samplers(
 ) -> list[dict]:
     """Paired sampler comparison on identical streams.
 
-    Each seed's stream is generated once, and every (n, mode) cell runs
-    its own loop over it; the stream is dropped before the next seed's.
-    Returns one record per (n, seed, mode), in that order, with the
-    final success rate.
+    For every n and seed, one stream is generated and each sampler mode
+    runs its own loop over it.  Returns one record per (n, seed, mode)
+    with the final success rate.
     """
     base_tracker = tracker or TrackerParams()
-    success: dict[tuple[int, int, str], float] = {}
-    for seed in seeds:
-        cfg = replace(config, seed=seed)
-        frames = generate_stream(cfg)
-        for n in n_values:
+    rows: list[dict] = []
+    for n in n_values:
+        for seed in seeds:
+            cfg = replace(config, seed=seed)
+            frames = generate_stream(cfg)
             for mode in SAMPLER_MODES:
                 run = track_stream(
                     frames,
@@ -131,14 +130,15 @@ def compare_samplers(
                     train_params=train_params,
                     detect_params=detect_params,
                 )
-                success[n, seed, mode] = run.success_rate
-        del frames
-    return [
-        {"n": n, "seed": seed, "mode": mode, "success": success[n, seed, mode]}
-        for n in n_values
-        for seed in seeds
-        for mode in SAMPLER_MODES
-    ]
+                rows.append(
+                    {
+                        "n": n,
+                        "seed": seed,
+                        "mode": mode,
+                        "success": run.success_rate,
+                    }
+                )
+    return rows
 
 
 def summarize_comparison(rows: list[dict]) -> dict[tuple[int, str], float]:

@@ -241,16 +241,16 @@ def generate_stream(config: SyntheticStreamConfig) -> list[Frame]:
     """Deterministic synthetic candidate stream for one seed.
 
     Features are unit vectors in the nonnegative orthant, mirroring
-    real appearance descriptors.  Draw order, which every stream rests
-    on: initial feature, position, heading; then per frame the target's
-    noise; per distractor, uniform positions until one lies spacing
-    from the target, then its direction and noise (dim normals each);
-    the permutation; the drift step if drift_rate > 0; process noise.
+    real appearance descriptors.  Draws, in order: initial feature,
+    position, heading; per frame, target noise; per distractor, uniform
+    positions until one lies spacing away, then direction and noise
+    (dim normals each); the permutation; drift step if any; process noise.
     """
     rng = np.random.default_rng(config.seed)
     d = config.dim
     feature = _unit_nonneg(rng.standard_normal(d))
-    low, high = config.spacing, config.arena - config.spacing
+    margin = config.spacing
+    low, high = margin, config.arena - margin
     pos = rng.uniform(low, high, size=2)
     heading = rng.uniform(0.0, 2.0 * math.pi)
     vel = config.speed * np.array([math.cos(heading), math.sin(heading)])
@@ -274,12 +274,13 @@ def generate_stream(config: SyntheticStreamConfig) -> list[Frame]:
         raw = blend * feature + (1.0 - blend) * _unit_nonneg(draws[:, 0])
         features[1:] = _unit(raw) + config.noise_scale * draws[:, 1]
         order = rng.permutation(m)
+        truth_index = int(np.where(order == 0)[0][0])
         frames.append(
             Frame(
                 index=t,
                 positions=positions[order],
                 features=features[order],
-                truth_index=int(order.argmin()),
+                truth_index=truth_index,
                 truth_position=pos.copy(),
                 truth_feature=feature.copy(),
             )
@@ -291,10 +292,13 @@ def generate_stream(config: SyntheticStreamConfig) -> list[Frame]:
             feature = _unit_nonneg(feature + step)
         vel = vel + config.process_noise * rng.standard_normal(2)
         pos = pos + vel
-        for axis, x in enumerate(pos):
-            wall = low if x < low else high if x > high else None
-            if wall is not None:
-                pos[axis], vel[axis] = 2 * wall - x, -vel[axis]
+        for axis in range(2):
+            if pos[axis] < low:
+                pos[axis] = 2 * low - pos[axis]
+                vel[axis] = -vel[axis]
+            elif pos[axis] > high:
+                pos[axis] = 2 * high - pos[axis]
+                vel[axis] = -vel[axis]
             pos[axis] = min(max(pos[axis], low), high)
     return frames
 

@@ -4,7 +4,7 @@ import csv
 import json
 import subprocess
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -15,12 +15,9 @@ from corestream import (
     DetectParams,
     TrackerParams,
     TrainParams,
-    generate_stream,
     random_orthonormal,
-    track_stream,
 )
 from corestream import bench, io
-from corestream.tracking import SAMPLER_MODES
 
 # Success rate of the first verified run of the bundled drift-stream
 # config under the canonical flags below.  Guards against silent
@@ -403,51 +400,6 @@ def test_compare_sampling_covers_every_cell(tmp_path):
     assert [
         (int(row["n"]), int(row["seed"]), row["mode"], float(row["success"])) for row in table
     ] == [(row["n"], row["seed"], row["mode"], row["success"]) for row in expected]
-
-
-def test_compare_sampling_rows_equal_one_loop_per_cell(tmp_path):
-    # Each seed's stream is generated once and shared by every n; the rows
-    # still come in (n, seed, mode) order and equal a fresh loop per cell.
-    cfg = tmp_path / "drift.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "dim": 8,
-                "frames": 80,
-                "drift_rate": 0.03,
-                "noise_scale": 0.03,
-                "distractor_count": 6,
-                "distractor_similarity": 0.35,
-                "seed": 0,
-            }
-        )
-    )
-    out = tmp_path / "cmp.csv"
-    result = run_cli(
-        "compare-sampling", "--config", str(cfg), "--n-list", "8,16", "--seeds", "0,1",
-        "--iters", "60", "--out", str(out),
-    )
-    assert result.returncode == 0, result.stderr
-    config = io.read_stream_config(str(cfg))
-    expected = []
-    for n in (8, 16):
-        for seed in (0, 1):
-            stream = replace(config, seed=seed)
-            frames = generate_stream(stream)
-            for mode in SAMPLER_MODES:
-                run = track_stream(
-                    frames,
-                    stream,
-                    tracker=TrackerParams(n=n, sampler=mode),
-                    train_params=TrainParams(iterations=60),
-                )
-                expected.append((n, seed, mode, run.success_rate))
-    assert len({success for *_, success in expected}) > 4
-    with open(out, newline="") as fh:
-        table = list(csv.DictReader(fh))
-    assert [
-        (int(row["n"]), int(row["seed"]), row["mode"], float(row["success"])) for row in table
-    ] == expected
 
 
 def test_bench_space_rows_equal_the_library_rows(tmp_path):
