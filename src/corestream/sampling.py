@@ -10,7 +10,7 @@ comparison and use the same SampleSet container.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,12 @@ class RowTag:
 
     level: int
     row: int
+
+
+@lru_cache(maxsize=256)
+def _tag_run(level: int, count: int) -> tuple[RowTag, ...]:
+    """RowTag(level, 0) ... RowTag(level, count - 1), shared by every sample."""
+    return tuple(RowTag(level, j) for j in range(count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +82,7 @@ def hierarchical_sample(view: TreeView) -> SampleSet:
     if not np.isfinite(view.pending).all():
         raise ValueError("pending rows must be finite")
     parts = [view.pending]
-    spans = [(RAW_LEVEL, view.pending.shape[0])]
+    tags = list(_tag_run(RAW_LEVEL, view.pending.shape[0]))
     budget = 2 * view.n - view.pending.shape[0]
     top_level = view.nodes[-1].level if view.nodes else 0
     for node in reversed(view.nodes):
@@ -85,9 +91,8 @@ def hierarchical_sample(view: TreeView) -> SampleSet:
         quota = max(1, view.n >> (node.level - top_level))
         take = min(quota, node.summary.block.rows, budget)
         parts.append(node.summary.block.values[:take])
-        spans.append((node.level, take))
+        tags += _tag_run(node.level, take)
         budget -= take
-    tags = chain.from_iterable(map(RowTag, repeat(lv, k), range(k)) for lv, k in spans)
     return SampleSet(
         rows=DataBlock._trusted(np.concatenate(parts, dtype=float)),
         tags=tuple(tags),
@@ -105,10 +110,9 @@ def root_sample(view: TreeView) -> SampleSet:
     """
     summary = collapse(view)
     level = view.nodes[0].level if view.nodes else RAW_LEVEL
-    tags = tuple(RowTag(level=level, row=j) for j in range(summary.block.rows))
     return SampleSet(
         rows=summary.block,
-        tags=tags,
+        tags=_tag_run(level, summary.block.rows),
         n=view.n,
         points_seen=view.points_seen,
     )

@@ -1,6 +1,6 @@
 """Tests for the bounded training-set builders."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from corestream import (
     root_sample,
     subsample,
 )
+from corestream.sampling import _tag_run
 
 
 def grown_tree(points: int, n: int, dim: int = 4, seed: int = 0) -> CoresetTree:
@@ -182,6 +183,33 @@ def test_root_sample_is_the_collapse():
     assert all(tag.level == view.nodes[0].level for tag in sample.tags)
     root = collapse(view)
     assert np.array_equal(sample.rows.values, root.block.values)
+
+
+@pytest.mark.parametrize("n, points", [(4, 9 * 4), (5, 3), (3, 40 * 3 + 2)])
+def test_root_sample_tags_equal_freshly_built_ones(n, points):
+    view = grown_tree(points, n).snapshot()
+    sample = root_sample(view)
+    level = view.nodes[0].level if view.nodes else RAW_LEVEL
+    assert sample.tags == tuple(RowTag(level, j) for j in range(sample.rows.rows))
+
+
+def test_samples_of_one_view_share_frozen_tags():
+    # Tag runs are cached and handed to every sample, which is safe only
+    # because a RowTag cannot be changed in place.
+    view = grown_tree(13 * 4 + 3, 4).snapshot()
+    for sampler in (hierarchical_sample, root_sample):
+        first, second = sampler(view), sampler(view)
+        assert all(a is b for a, b in zip(first.tags, second.tags, strict=True))
+        with pytest.raises(FrozenInstanceError):
+            first.tags[0].level = 7
+
+
+def test_tag_run_cache_stays_bounded():
+    for level in range(300):
+        assert _tag_run(level, 3) == tuple(RowTag(level, j) for j in range(3))
+    assert _tag_run.cache_info().currsize <= 256
+    # An evicted run is rebuilt the same.
+    assert _tag_run(0, 3) == (RowTag(0, 0), RowTag(0, 1), RowTag(0, 2))
 
 
 def test_random_sample_returns_short_history_whole():

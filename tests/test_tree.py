@@ -20,6 +20,7 @@ from corestream import (
     validate_view,
 )
 from corestream import bench
+from corestream.sampling import _tag_run
 
 
 def push_stream(tree: CoresetTree, count: int, seed: int = 0) -> np.ndarray:
@@ -275,6 +276,40 @@ def test_tree_memory_does_not_grow_with_the_stream():
                 tracemalloc.stop()
             assert tree.live_node_count() == 1
         assert max(held) - min(held) < 4096, (ingest, held)
+
+
+def test_read_path_memory_does_not_grow_with_the_stream():
+    # A hierarchical_sample after every leaf keeps nothing per read.  Its
+    # one process-wide term is the cache of shared tag runs (at most 256
+    # runs of at most n tags), which the untraced warm-up stream fills for
+    # every level the traced streams reach.  So 4x and 16x the reads must
+    # hold the same memory, within the spread of the ingest test above.
+    # Building each sample's tags as tuple(chain(...)) fails here: the
+    # tuples it resizes pile up in CPython's tuple free lists, one per
+    # read, about 250 KB over 2**14 rows.
+    n, dim = 8, 4
+
+    def sample_every_leaf(rows):
+        tree = CoresetTree(n, dim)
+        for row in rows:
+            if tree.push_point(row).leaf_formed:
+                sample = hierarchical_sample(tree.snapshot())
+        return tree, sample
+
+    sample_every_leaf(np.random.default_rng(0).standard_normal((2**14, dim)))
+    runs = _tag_run.cache_info().currsize
+    held = []
+    for k in (10, 12, 14):
+        rows = np.random.default_rng(k).standard_normal((2**k, dim))
+        tracemalloc.start()
+        try:
+            tree, sample = sample_every_leaf(rows)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert tree.live_node_count() == 1 and sample.rows.rows == min(n, dim)
+    assert _tag_run.cache_info().currsize == runs
+    assert max(held) - min(held) < 4096, held
 
 
 def assert_same_state(a: CoresetTree, b: CoresetTree) -> None:
