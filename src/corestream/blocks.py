@@ -31,6 +31,13 @@ ENERGY_FLOOR = 1e-12
 _GRAM_TAIL_FLOOR = 1e-8
 
 
+def _wrap(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, made without __init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class DataBlock:
     """A dense rows x dim matrix of feature vectors.
@@ -58,9 +65,7 @@ class DataBlock:
     def _trusted(cls, values: np.ndarray) -> "DataBlock":
         """Wrap a fresh 2-d float array built from checked rows, read-only."""
         values.setflags(write=False)
-        block = object.__new__(cls)
-        object.__setattr__(block, "values", values)
-        return block
+        return _wrap(cls, values=values)
 
     @property
     def rows(self) -> int:

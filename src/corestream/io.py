@@ -291,7 +291,7 @@ def write_snapshot(path: str, view: TreeView) -> None:
         "pending": _MATRIX,
     }
     matrices = [node.summary.block.values for node in view.nodes]
-    _write_json(path, doc, matrices + [np.asarray(view.pending, dtype=float)])
+    _write_json(path, doc, matrices + [view.pending])
 
 
 def read_snapshot(path: str) -> TreeView:
@@ -301,7 +301,6 @@ def read_snapshot(path: str) -> TreeView:
         pending = _json_matrix(doc["pending"], "pending")
         if pending.shape[0] == 0:
             pending = np.zeros((0, _json_int(doc["dim"], "dim")))
-        pending.setflags(write=False)
         view = TreeView(
             n=_json_int(doc["n"], "n"),
             dim=_json_int(doc["dim"], "dim"),

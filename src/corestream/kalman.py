@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _wrap
+
 STATE_DIM = 4
 OBS_DIM = 2
 
@@ -87,10 +89,7 @@ class KalmanState:
         _check_psd(p, "state covariance")
         x.setflags(write=False)
         p.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "x", x)
-        object.__setattr__(state, "P", p)
-        return state
+        return _wrap(cls, x=x, P=p)
 
     @property
     def position(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import DataBlock
+from .blocks import DataBlock, _wrap
 from .tree import TreeView, collapse
 
 # Provenance level for rows taken straight from a raw buffer rather
@@ -51,7 +51,8 @@ class SampleSet:
 
     n is the row budget the sample was built against and points_seen
     the stream position of the source view or history, which lets
-    callers prove a model never saw data from its own future.
+    callers prove a model never saw data from its own future.  The
+    library builds its own samples by _trusted, which skips the tag check.
     """
 
     rows: DataBlock
@@ -59,11 +60,11 @@ class SampleSet:
     n: int
     points_seen: int
 
+    _trusted = classmethod(_wrap)
+
     def __post_init__(self) -> None:
         if len(self.tags) != self.rows.rows:
-            raise ValueError(
-                f"{self.rows.rows} rows carry {len(self.tags)} provenance tags"
-            )
+            raise ValueError(f"{self.rows.rows} rows carry {len(self.tags)} provenance tags")
 
 
 def hierarchical_sample(view: TreeView) -> SampleSet:
@@ -78,9 +79,6 @@ def hierarchical_sample(view: TreeView) -> SampleSet:
     """
     if not view.nodes and view.pending.shape[0] == 0:
         raise ValueError("cannot sample an empty tree")
-    # A view can be built by hand, so its pending rows are outside input.
-    if not np.isfinite(view.pending).all():
-        raise ValueError("pending rows must be finite")
     parts = [view.pending]
     tags = list(_tag_run(RAW_LEVEL, view.pending.shape[0]))
     budget = 2 * view.n - view.pending.shape[0]
@@ -93,7 +91,7 @@ def hierarchical_sample(view: TreeView) -> SampleSet:
         parts.append(node.summary.block.values[:take])
         tags += _tag_run(node.level, take)
         budget -= take
-    return SampleSet(
+    return SampleSet._trusted(
         rows=DataBlock._trusted(np.concatenate(parts, dtype=float)),
         tags=tuple(tags),
         n=view.n,
@@ -110,7 +108,7 @@ def root_sample(view: TreeView) -> SampleSet:
     """
     summary = collapse(view)
     level = view.nodes[0].level if view.nodes else RAW_LEVEL
-    return SampleSet(
+    return SampleSet._trusted(
         rows=summary.block,
         tags=_tag_run(level, summary.block.rows),
         n=view.n,

@@ -353,7 +353,7 @@ def _as_directions(sample: SampleSet) -> SampleSet:
     if not keep:
         return sample
     units = values[keep] / norms[keep, None]
-    return SampleSet(
+    return SampleSet._trusted(
         rows=DataBlock._trusted(units),
         tags=tuple(sample.tags[i] for i in keep),
         n=sample.n,

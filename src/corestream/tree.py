@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CoresetBlock, DataBlock, concat_blocks, svd_truncate
+from .blocks import CoresetBlock, DataBlock, _wrap, concat_blocks, svd_truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +60,8 @@ class TreeView(_Counters):
 
     nodes are ordered bottom to top, oldest first, with strictly
     decreasing levels.  pending holds the rows buffered toward the next
-    leaf (possibly zero of them), newest last.  points_seen, merge_count
-    and max_live_nodes are derived from leaves_seen and the pending rows.
+    leaf (possibly zero of them), newest last.  The constructor keeps a
+    checked, read-only copy of them; snapshot() builds views by _trusted.
     """
 
     n: int
@@ -69,6 +69,15 @@ class TreeView(_Counters):
     nodes: tuple[CoresetNode, ...]
     pending: np.ndarray
     leaves_seen: int
+
+    _trusted = classmethod(_wrap)
+
+    def __post_init__(self) -> None:
+        pending = np.array(self.pending, dtype=float)
+        if not np.isfinite(pending).all():
+            raise ValueError("pending rows must be finite")
+        pending.setflags(write=False)
+        object.__setattr__(self, "pending", pending)
 
     def _pending_rows(self) -> int:
         return self.pending.shape[0]
@@ -213,7 +222,7 @@ class CoresetTree(_Counters):
         with self._lock:
             pending = self._leaf[: self._fill].copy()
             pending.setflags(write=False)
-            return TreeView(
+            return TreeView._trusted(
                 n=self.n,
                 dim=self.dim,
                 nodes=tuple(self._stack),
@@ -279,8 +288,6 @@ def validate_view(view: TreeView) -> None:
             raise ValueError("node constant must be >= 0")
     if view.pending.ndim != 2 or view.pending.shape[1] != view.dim:
         raise ValueError(f"pending has shape {view.pending.shape}, expected (p, {view.dim})")
-    if not np.isfinite(view.pending).all():
-        raise ValueError("pending rows must be finite")
     if view.pending.shape[0] >= view.n:
         raise ValueError("pending buffer must stay below one leaf")
     if view.leaves_seen * view.n != covered:

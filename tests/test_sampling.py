@@ -18,6 +18,7 @@ from corestream import (
     root_sample,
     subsample,
 )
+from corestream import tracking
 from corestream.sampling import _tag_run
 
 
@@ -172,6 +173,26 @@ def test_hierarchical_refuses_non_finite_pending_rows_of_a_hand_built_view():
         pending[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             hierarchical_sample(replace(view, pending=pending))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "n, points, holds",
+    [(5, 3, "pending-only"), (4, 6 * 4, "nodes-only"), (4, 13 * 4 + 3, "nodes-and-pending")],
+)
+def test_every_library_sample_carries_one_tag_per_row(seed, n, points, holds):
+    # The library builds these samples by SampleSet._trusted, which does
+    # not check the tag count the public constructor checks.
+    view = grown_tree(points, n, dim=6, seed=seed).snapshot()
+    assert {
+        "pending-only": not view.nodes,
+        "nodes-only": view.pending.shape[0] == 0,
+        "nodes-and-pending": bool(view.nodes) and view.pending.shape[0] > 0,
+    }[holds]
+    for sampler in (hierarchical_sample, root_sample):
+        sample = sampler(view)
+        for built in (sample, tracking._as_directions(sample)):
+            assert len(built.tags) == built.rows.rows
 
 
 def test_root_sample_is_the_collapse():

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +214,59 @@ def test_validate_view_catches_corruption():
     )
     with pytest.raises(ValueError):
         validate_view(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_hand_built_view_refuses_non_finite_pending_rows(value):
+    tree = CoresetTree(4, 3)
+    push_stream(tree, 3 * 4 + 2, seed=5)
+    view = tree.snapshot()
+    pending = np.array(view.pending)
+    pending[1, 2] = value
+    fields = dict(n=view.n, dim=view.dim, nodes=view.nodes, leaves_seen=view.leaves_seen)
+    with pytest.raises(ValueError, match="pending rows must be finite"):
+        TreeView(pending=pending, **fields)
+    with pytest.raises(ValueError, match="pending rows must be finite"):
+        replace(view, pending=pending)
+
+
+def test_a_hand_built_view_keeps_a_read_only_copy_of_its_pending_rows():
+    tree = CoresetTree(4, 3)
+    push_stream(tree, 2 * 4 + 3, seed=6)
+    good = tree.snapshot()
+    pending = np.array(good.pending)
+    view = TreeView(n=4, dim=3, nodes=good.nodes, pending=pending, leaves_seen=good.leaves_seen)
+    pending[0, 0] = 1e9
+    assert np.array_equal(view.pending, good.pending)
+    with pytest.raises(ValueError):
+        view.pending[0, 0] = 1e9
+    validate_view(view)
+
+
+@pytest.mark.parametrize("points", [3, 4 * 4, 5 * 4 + 3])
+def test_a_snapshot_view_matches_one_built_by_the_public_constructor(points):
+    # snapshot() skips the constructor's check and copy; what it hands
+    # out must not be told apart from a view that went through them.
+    tree = CoresetTree(4, 3)
+    push_stream(tree, points, seed=7)
+    view = tree.snapshot()
+    built = TreeView(
+        n=view.n,
+        dim=view.dim,
+        nodes=view.nodes,
+        pending=view.pending,
+        leaves_seen=view.leaves_seen,
+    )
+    assert (view.n, view.dim, view.leaves_seen) == (built.n, built.dim, built.leaves_seen)
+    assert all(a is b for a, b in zip(view.nodes, built.nodes, strict=True))
+    assert view.pending.dtype == built.pending.dtype == np.float64
+    assert view.pending.shape == built.pending.shape
+    assert view.pending.tobytes() == built.pending.tobytes()
+    assert not view.pending.flags.writeable and not built.pending.flags.writeable
+    for counter in ("points_seen", "merge_count", "max_live_nodes"):
+        assert getattr(view, counter) == getattr(built, counter)
+    validate_view(view)
+    validate_view(built)
 
 
 def test_node_spans_tile_the_stream():
