@@ -124,21 +124,16 @@ def dist_sq(block: DataBlock, y: np.ndarray) -> float:
     return float(np.sum(proj * proj))
 
 
-def _orthonormal_from_rng(rng: np.random.Generator, dim: int, cols: int) -> np.ndarray:
-    gauss = rng.standard_normal((dim, cols))
-    q, r = np.linalg.qr(gauss)
+def random_orthonormal(dim: int, cols: int, seed: int) -> np.ndarray:
+    """Deterministic random matrix with orthonormal columns."""
+    if not 1 <= cols <= dim:
+        raise ValueError(f"need 1 <= cols <= dim, got cols={cols} dim={dim}")
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, cols)))
     # Fixing the sign of each reflector makes the draw independent of
     # how the underlying factorization breaks ties.
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     return q * signs
-
-
-def random_orthonormal(dim: int, cols: int, seed: int) -> np.ndarray:
-    """Deterministic random matrix with orthonormal columns."""
-    if not 1 <= cols <= dim:
-        raise ValueError(f"need 1 <= cols <= dim, got cols={cols} dim={dim}")
-    return _orthonormal_from_rng(np.random.default_rng(seed), dim, cols)
 
 
 def _gram_spectrum(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -21,6 +21,7 @@ from .blocks import measure_epsilon, reduce_block
 from .svm import TrainParams
 from .tracking import (
     DetectParams,
+    FLAT_MODES,
     SAMPLER_MODES,
     TrackerParams,
     draw_sample,
@@ -103,7 +104,7 @@ def cmd_tree_build(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    flat = args.mode in ("random", "subsample")
+    flat = args.mode in FLAT_MODES
     if args.features is not None and not flat:
         raise CommandError(f"--features is only for random and subsample, not --mode {args.mode}")
     seed = _effective_seed(args.seed)
@@ -155,7 +156,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     grid = _int_list(args.grid, "--grid")
     seed = _effective_seed(args.seed)
     print(f"seed: {seed}")
-    if args.mode in ("time", "space"):
+    if args.mode == "time":
         rows = [bench.stream_bench(points, args.n, args.dim, seed) for points in grid]
     else:
         params = _train_params(args)
@@ -190,13 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming coreset tree: reduce, build, sample, track, bench.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Training, detection and EM knobs shared by track and compare-sampling.
-    loop = argparse.ArgumentParser(add_help=False)
-    loop.add_argument("--nu", type=float, default=0.5)
-    loop.add_argument("--reg", type=float, default=1e-3)
-    loop.add_argument("--iters", type=int, default=200)
-    loop.add_argument("--threshold", type=float, default=None)
-    loop.add_argument("--em-every", type=int, default=1)
+    # Solver knobs of bench, track and compare-sampling; defaults are the library's.
+    train = argparse.ArgumentParser(add_help=False)
+    train.add_argument("--nu", type=float, default=TrainParams.nu)
+    train.add_argument("--reg", type=float, default=TrainParams.regularization)
+    train.add_argument("--iters", type=int, default=TrainParams.iterations)
+    loop = argparse.ArgumentParser(add_help=False, parents=[train])
+    loop.add_argument("--threshold", type=float, default=DetectParams.threshold)
+    loop.add_argument("--em-every", type=int, default=TrackerParams.em_every)
 
     p = sub.add_parser("reduce", help="compress a feature file to at most n rows")
     p.add_argument("--in", dest="infile", required=True, help="input feature file")
@@ -226,20 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run the tracking loop on a synthetic stream", parents=[loop])
     p.add_argument("--config", required=True, help="stream config path or bundled name")
-    p.add_argument("--n", type=int, default=20, help="leaf size")
-    p.add_argument("--sampler", default="hierarchical", choices=SAMPLER_MODES)
+    p.add_argument("--n", type=int, default=TrackerParams.n, help="leaf size")
+    p.add_argument("--sampler", default=TrackerParams.sampler, choices=SAMPLER_MODES)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--out", required=True, help="per-frame track table CSV")
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("bench", help="measure push cost, stack size or training time")
-    p.add_argument("--mode", required=True, choices=("time", "space", "svm-time"))
+    p = sub.add_parser("bench", help="benchmark ingest or training over a grid", parents=[train])
+    p.add_argument("--mode", required=True, choices=("time", "svm-time"))
     p.add_argument("--grid", required=True, help="comma-separated stream lengths")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--nu", type=float, default=0.5)
-    p.add_argument("--reg", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="results CSV")
     p.set_defaults(func=cmd_bench)

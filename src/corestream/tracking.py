@@ -34,7 +34,8 @@ from .sampling import (
 from .svm import LinearModel, TrainParams, decisions, train_one_class
 from .tree import CoresetTree, TreeView
 
-SAMPLER_MODES = ("hierarchical", "root", "random", "subsample")
+FLAT_MODES = ("random", "subsample")  # the baselines that read raw history
+SAMPLER_MODES = ("hierarchical", "root", *FLAT_MODES)
 EM_ITERATIONS = 8  # sweeps per EM refit of the noise covariances
 
 
@@ -384,9 +385,7 @@ def track_stream(
     n = tracker.n
 
     tree = CoresetTree(n, config.dim)
-    # Only the flat baselines read raw history; the tree-backed modes
-    # keep nothing beyond the tree.
-    history: list[np.ndarray] | None = [] if tracker.sampler in ("random", "subsample") else None
+    history: list[np.ndarray] | None = [] if tracker.sampler in FLAT_MODES else None
     retrains = 0
     jitter_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x0B007)))
 

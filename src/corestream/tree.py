@@ -284,8 +284,6 @@ def validate_view(view: TreeView) -> None:
             raise ValueError("node summary exceeds the row budget")
         if node.summary.source_rows != last - first:
             raise ValueError("node source_rows disagrees with its span")
-        if node.summary.c < 0:
-            raise ValueError("node constant must be >= 0")
     if view.pending.ndim != 2 or view.pending.shape[1] != view.dim:
         raise ValueError(f"pending has shape {view.pending.shape}, expected (p, {view.dim})")
     if view.pending.shape[0] >= view.n:

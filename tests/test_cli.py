@@ -17,7 +17,7 @@ from corestream import (
     TrainParams,
     random_orthonormal,
 )
-from corestream import bench, io
+from corestream import bench, cli, io
 
 # Success rate of the first verified run of the bundled drift-stream
 # config under the canonical flags below.  Guards against silent
@@ -364,6 +364,37 @@ def test_bench_svm_time_mode(tmp_path):
         assert int(line.split(",")[1]) <= 16
 
 
+def test_bench_refuses_the_retired_space_mode(tmp_path):
+    # time writes both push cost and live-node counts, so space is gone.
+    result = run_cli("bench", "--mode", "space", "--grid", "8", "--out", str(tmp_path / "o"))
+    assert result.returncode == 2
+    assert "--mode: invalid choice" in result.stderr
+    assert "time, svm-time" in result.stderr.replace("'", "")
+    assert result.stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["track", "compare-sampling", "bench"])
+def test_option_defaults_are_the_library_defaults(command):
+    # Parse only: the CLI states no default of its own for a library knob.
+    required = {
+        "track": ["--config", "c", "--out", "o"],
+        "compare-sampling": ["--config", "c", "--n-list", "8", "--seeds", "0", "--out", "o"],
+        "bench": ["--mode", "time", "--grid", "8", "--out", "o"],
+    }[command]
+    args = cli.build_parser().parse_args([command, *required])
+    expected = {
+        "nu": TrainParams().nu,
+        "reg": TrainParams().regularization,
+        "iters": TrainParams().iterations,
+    }
+    if command != "bench":
+        expected |= {"threshold": DetectParams().threshold, "em_every": TrackerParams().em_every}
+    if command == "track":
+        expected |= {"n": TrackerParams().n, "sampler": TrackerParams().sampler}
+    assert {key: getattr(args, key) for key in expected} == expected
+
+
 def test_bench_rejects_bad_grid(tmp_path):
     result = run_cli(
         "bench", "--mode", "time", "--grid", "12,frog", "--out", str(tmp_path / "o")
@@ -405,7 +436,7 @@ def test_compare_sampling_covers_every_cell(tmp_path):
 def test_bench_space_rows_equal_the_library_rows(tmp_path):
     out = tmp_path / "bench.csv"
     result = run_cli(
-        "bench", "--mode", "space", "--grid", "64,200", "--n", "8", "--dim", "4",
+        "bench", "--mode", "time", "--grid", "64,200", "--n", "8", "--dim", "4",
         "--seed", "3", "--out", str(out),
     )
     assert result.returncode == 0, result.stderr
@@ -445,7 +476,7 @@ def test_nonfinite_threshold_or_bad_radius_is_a_usage_error(tmp_path, command, f
         (["sample", "--snapshot", "{snap}", "--mode", "subsample", "--features", "{feat}",
           "--seed", "-1"], "--seed"),
         (["bench", "--mode", "time", "--grid", "-5"], "--grid"),
-        (["bench", "--mode", "space", "--grid", "8", "--seed", "-1"], "--seed"),
+        (["bench", "--mode", "time", "--grid", "8", "--seed", "-1"], "--seed"),
         (["track", "--config", "drift_stream", "--seed", "-1"], "seed"),
         (["track", "--config", "{config}"], "seed"),
         (["compare-sampling", "--config", "drift_stream", "--n-list", "16", "--seeds", "0,-1"],

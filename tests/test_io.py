@@ -350,6 +350,16 @@ def test_snapshot_reader_rejects_non_finite_pending_rows(tmp_path, value):
         io.read_snapshot(tampered_snapshot(tmp_path, tamper))
 
 
+def test_snapshot_reader_rejects_a_negative_node_constant(tmp_path):
+    # CoresetBlock's constructor is the only check on c; validate_view
+    # has none of its own.
+    def tamper(doc):
+        doc["nodes"][0]["c"] = -1.0
+
+    with pytest.raises(FormatError, match="additive constant must be finite and >= 0"):
+        io.read_snapshot(tampered_snapshot(tmp_path, tamper))
+
+
 def block_doc(cb: CoresetBlock) -> dict:
     return {
         "rows": cb.block.rows,
