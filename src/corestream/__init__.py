@@ -16,7 +16,6 @@ from .tree import (
     MergeReport,
     TreeView,
     collapse,
-    validate_view,
 )
 from .sampling import (
     RAW_LEVEL,
@@ -95,5 +94,4 @@ __all__ = [
     "track_stream",
     "train_binary",
     "train_one_class",
-    "validate_view",
 ]

@@ -45,7 +45,7 @@ class DataBlock:
     The constructor checks its input and stores a private, read-only
     copy, so a block can be shared across threads and snapshots without
     defensive copying.  Blocks the library builds itself come from
-    _trusted, which wraps the fresh array it is given instead of a copy.
+    _trusted, which wraps the array it is given instead of a copy.
     """
 
     values: np.ndarray
@@ -63,7 +63,7 @@ class DataBlock:
 
     @classmethod
     def _trusted(cls, values: np.ndarray) -> "DataBlock":
-        """Wrap a fresh 2-d float array built from checked rows, read-only."""
+        """Wrap a 2-d float array of checked rows, fresh or already read-only."""
         values.setflags(write=False)
         return _wrap(cls, values=values)
 

@@ -31,14 +31,10 @@ from .tracking import (
 from .tree import CoresetTree
 
 
-class CommandError(Exception):
-    """User-facing problem; maps to exit status 2."""
-
-
 def _effective_seed(given: int | None) -> int:
     if given is not None:
         if given < 0:
-            raise CommandError(f"--seed must be >= 0, got {given}")
+            raise ValueError(f"--seed must be >= 0, got {given}")
         return given
     return secrets.randbelow(2**31)
 
@@ -55,23 +51,23 @@ def _int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise CommandError(f"{what} must be a comma-separated integer list, got {text!r}")
+        raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}")
     if not values or min(values) < 0:
-        raise CommandError(f"{what} must be a non-empty list of integers >= 0, got {text!r}")
+        raise ValueError(f"{what} must be a non-empty list of integers >= 0, got {text!r}")
     if len(set(values)) < len(values):
-        raise CommandError(f"{what} repeats {max(values, key=values.count)}; entries must differ")
+        raise ValueError(f"{what} repeats {max(values, key=values.count)}; entries must differ")
     return values
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     block = io.read_features(args.infile)
     if not 1 <= args.epsilon_k < block.dim:
-        raise CommandError(
+        raise ValueError(
             f"--epsilon-k {args.epsilon_k} must be at least 1 and below the data "
             f"dimension {block.dim}"
         )
     if args.trials < 1:
-        raise CommandError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = _effective_seed(args.seed)
     print(f"seed: {seed}")
     summary = reduce_block(block, args.n)
@@ -106,19 +102,19 @@ def cmd_tree_build(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     flat = args.mode in FLAT_MODES
     if args.features is not None and not flat:
-        raise CommandError(f"--features is only for random and subsample, not --mode {args.mode}")
+        raise ValueError(f"--features is only for random and subsample, not --mode {args.mode}")
     seed = _effective_seed(args.seed)
     view = io.read_snapshot(args.snapshot)
     history = None
     if flat:
         if args.features is None:
-            raise CommandError(
+            raise ValueError(
                 f"--mode {args.mode} samples from raw history; pass the original "
                 "stream with --features"
             )
         features = io.read_features(args.features)
         if (features.dim, features.rows) != (view.dim, view.points_seen):
-            raise CommandError(
+            raise ValueError(
                 f"--features holds {features.rows} rows of dim {features.dim}, but the "
                 f"snapshot saw {view.points_seen} rows of dim {view.dim}"
             )
@@ -260,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CommandError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # unexpected, report as internal

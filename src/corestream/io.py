@@ -25,7 +25,7 @@ import numpy as np
 from .blocks import CoresetBlock, DataBlock
 from .sampling import SampleSet
 from .tracking import SyntheticStreamConfig, config_from_dict
-from .tree import CoresetNode, TreeView, validate_view
+from .tree import CoresetNode, TreeView
 
 MAGIC = b"CSTK"
 BINARY_VERSION = 1
@@ -312,10 +312,6 @@ def read_snapshot(path: str) -> TreeView:
         stored = {key: _json_int(doc[key], key) for key in _DERIVED_COUNTERS}
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: bad snapshot document: {exc}") from None
-    try:
-        validate_view(view)
-    except ValueError as exc:
-        raise FormatError(f"{path}: inconsistent snapshot: {exc}") from None
     for key, value in stored.items():
         if value != getattr(view, key):
             raise FormatError(

@@ -69,7 +69,7 @@ class KalmanState:
     P: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
+        x = np.array(self.x, dtype=float)
         if x.shape != (STATE_DIM,):
             raise ValueError(f"state mean must have shape ({STATE_DIM},), got {x.shape}")
         if not np.all(np.isfinite(x)):

@@ -60,8 +60,8 @@ class TreeView(_Counters):
 
     nodes are ordered bottom to top, oldest first, with strictly
     decreasing levels.  pending holds the rows buffered toward the next
-    leaf (possibly zero of them), newest last.  The constructor keeps a
-    checked, read-only copy of them; snapshot() builds views by _trusted.
+    leaf (possibly zero of them), newest last.  The constructor checks
+    every invariant and keeps a read-only copy; snapshot() uses _trusted.
     """
 
     n: int
@@ -78,6 +78,37 @@ class TreeView(_Counters):
             raise ValueError("pending rows must be finite")
         pending.setflags(write=False)
         object.__setattr__(self, "pending", pending)
+        if self.n < 1 or self.dim < 1:
+            raise ValueError(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
+        levels = [node.level for node in self.nodes]
+        for lower, upper in zip(levels, levels[1:]):
+            if upper >= lower:
+                raise ValueError(f"stack levels must strictly decrease, got {levels}")
+        if len(self.nodes) != self.leaves_seen.bit_count():
+            raise ValueError(f"live nodes {len(self.nodes)} != popcount of leaves {self.leaves_seen}")
+        covered = 0
+        for node in self.nodes:
+            first, last = node.span
+            if last - first != self.n * (1 << node.level):
+                raise ValueError(
+                    f"node at level {node.level} spans {last - first} rows, "
+                    f"expected {self.n * (1 << node.level)}"
+                )
+            if first != covered:
+                raise ValueError("node spans must tile the stream contiguously from row 0")
+            covered = last
+            if node.summary.block.dim != self.dim:
+                raise ValueError(f"node summary has dim {node.summary.block.dim}, view has {self.dim}")
+            if node.summary.block.rows > self.n:
+                raise ValueError("node summary exceeds the row budget")
+            if node.summary.source_rows != last - first:
+                raise ValueError("node source_rows disagrees with its span")
+        if pending.ndim != 2 or pending.shape[1] != self.dim:
+            raise ValueError(f"pending has shape {pending.shape}, expected (p, {self.dim})")
+        if pending.shape[0] >= self.n:
+            raise ValueError("pending buffer must stay below one leaf")
+        if self.leaves_seen * self.n != covered:
+            raise ValueError("leaves_seen disagrees with covered span")
 
     def _pending_rows(self) -> int:
         return self.pending.shape[0]
@@ -246,7 +277,7 @@ def collapse(view: TreeView) -> CoresetBlock:
     if view.pending.shape[0] > 0:
         parts.append(
             CoresetBlock(
-                block=DataBlock(view.pending),
+                block=DataBlock._trusted(view.pending),
                 c=0.0,
                 source_rows=view.pending.shape[0],
             )
@@ -255,38 +286,3 @@ def collapse(view: TreeView) -> CoresetBlock:
     for part in parts[1:]:
         acc = _merge(acc, part, view.n)
     return acc
-
-
-def validate_view(view: TreeView) -> None:
-    """Raise ValueError if a view breaks any structural invariant."""
-    if view.n < 1 or view.dim < 1:
-        raise ValueError(f"need n >= 1 and dim >= 1, got n={view.n}, dim={view.dim}")
-    levels = [node.level for node in view.nodes]
-    for lower, upper in zip(levels, levels[1:]):
-        if upper >= lower:
-            raise ValueError(f"stack levels must strictly decrease, got {levels}")
-    if len(view.nodes) != view.leaves_seen.bit_count():
-        raise ValueError(f"live nodes {len(view.nodes)} != popcount of leaves {view.leaves_seen}")
-    covered = 0
-    for node in view.nodes:
-        first, last = node.span
-        if last - first != view.n * (1 << node.level):
-            raise ValueError(
-                f"node at level {node.level} spans {last - first} rows, "
-                f"expected {view.n * (1 << node.level)}"
-            )
-        if first != covered:
-            raise ValueError("node spans must tile the stream contiguously from row 0")
-        covered = last
-        if node.summary.block.dim != view.dim:
-            raise ValueError(f"node summary has dim {node.summary.block.dim}, view has {view.dim}")
-        if node.summary.block.rows > view.n:
-            raise ValueError("node summary exceeds the row budget")
-        if node.summary.source_rows != last - first:
-            raise ValueError("node source_rows disagrees with its span")
-    if view.pending.ndim != 2 or view.pending.shape[1] != view.dim:
-        raise ValueError(f"pending has shape {view.pending.shape}, expected (p, {view.dim})")
-    if view.pending.shape[0] >= view.n:
-        raise ValueError("pending buffer must stay below one leaf")
-    if view.leaves_seen * view.n != covered:
-        raise ValueError("leaves_seen disagrees with covered span")

@@ -2,14 +2,16 @@
 
 import ast
 import csv
+import inspect
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from corestream import CoresetBlock, CoresetTree, DataBlock, validate_view
+from corestream import CoresetBlock, CoresetTree, DataBlock
 from corestream import cli, io
 from corestream.io import FormatError
 
@@ -176,7 +178,7 @@ def test_snapshot_round_trip_is_exact(tmp_path):
     view = tree.snapshot()
     io.write_snapshot(path, view)
     back = io.read_snapshot(path)
-    validate_view(back)
+    replace(back)
     assert back.n == view.n
     assert back.dim == view.dim
     assert back.points_seen == view.points_seen
@@ -351,7 +353,7 @@ def test_snapshot_reader_rejects_non_finite_pending_rows(tmp_path, value):
 
 
 def test_snapshot_reader_rejects_a_negative_node_constant(tmp_path):
-    # CoresetBlock's constructor is the only check on c; validate_view
+    # CoresetBlock's constructor is the only check on c; TreeView's
     # has none of its own.
     def tamper(doc):
         doc["nodes"][0]["c"] = -1.0
@@ -533,3 +535,20 @@ def test_only_io_opens_files():
                 if name.split(".")[0] in ("csv", "json")
             ]
     assert offenders == []
+
+
+def test_only_snapshot_builds_unchecked_views():
+    # TreeView._trusted skips the constructor's structural check; only
+    # CoresetTree.snapshot, whose views hold the tree's own state, calls it.
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(Path(io.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "_trusted"
+        and getattr(node.func.value, "id", None) == "TreeView"
+    ]
+    source, first = inspect.getsourcelines(CoresetTree.snapshot)
+    assert calls and all(
+        name == "tree.py" and first <= line < first + len(source) for name, line in calls
+    ), calls

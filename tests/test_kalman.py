@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from corestream import (
+    DataBlock,
     KalmanState,
+    LinearModel,
     NoiseParams,
+    TreeView,
     em_fit,
     kalman_predict,
     kalman_update,
@@ -163,6 +166,35 @@ def test_filter_states_are_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "build, field, given",
+    [
+        pytest.param(DataBlock, "values", np.ones((2, 3)), id="DataBlock-values"),
+        pytest.param(
+            lambda a: TreeView(n=4, dim=3, nodes=(), pending=a, leaves_seen=0),
+            "pending",
+            np.ones((2, 3)),
+            id="TreeView-pending",
+        ),
+        pytest.param(
+            lambda a: LinearModel(w=a, b=0.0, threshold=0.0), "w", np.ones(3), id="LinearModel-w"
+        ),
+        pytest.param(lambda a: NoiseParams(Q=a, R=np.eye(2)), "Q", np.eye(4), id="NoiseParams-Q"),
+        pytest.param(lambda a: NoiseParams(Q=np.eye(4), R=a), "R", np.eye(2), id="NoiseParams-R"),
+        pytest.param(lambda a: KalmanState(x=a, P=np.eye(4)), "x", np.zeros(4), id="KalmanState-x"),
+        pytest.param(lambda a: KalmanState(x=np.zeros(4), P=a), "P", np.eye(4), id="KalmanState-P"),
+    ],
+)
+def test_public_constructors_copy_the_callers_arrays(build, field, given):
+    # The caller's array stays theirs: still writeable, and writing to
+    # it leaves what the constructor stored as it was.
+    built = build(given)
+    stored = getattr(built, field).copy()
+    assert given.flags.writeable
+    given.flat[0] += 1.0
+    assert np.array_equal(getattr(built, field), stored)
 
 
 def test_filter_states_match_the_validating_constructor_bit_for_bit():

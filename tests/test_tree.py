@@ -18,7 +18,6 @@ from corestream import (
     dist_sq,
     hierarchical_sample,
     random_orthonormal,
-    validate_view,
 )
 from corestream import bench
 from corestream.sampling import _tag_run
@@ -70,7 +69,7 @@ def test_a_merge_that_overflows_raises():
             tree.push_point(np.full(2, 1e308))
         with pytest.raises(ValueError, match="overflow"):
             tree.push_point(np.full(2, 1e308))
-    validate_view(tree.snapshot())
+    replace(tree.snapshot())
     assert tree.points_seen == 3
     assert tree.leaves_seen == 1
     assert tree.merge_count == 0
@@ -185,7 +184,7 @@ def test_any_view_passes_structural_validation(points, n, seed):
     tree = CoresetTree(n, 3)
     push_stream(tree, points, seed=seed)
     view = tree.snapshot()
-    validate_view(view)
+    replace(view)
     assert view.points_seen == points
     assert view.leaves_seen == points // n
     assert sum(node.summary.source_rows for node in view.nodes) + view.pending.shape[0] == points
@@ -195,25 +194,105 @@ def test_validate_view_catches_corruption():
     tree = CoresetTree(2, 3)
     push_stream(tree, 6, seed=3)
     good = tree.snapshot()
-    validate_view(good)
-    bad = TreeView(
-        n=good.n,
-        dim=good.dim,
-        nodes=good.nodes,
-        pending=good.pending,
-        leaves_seen=good.leaves_seen + 1,
-    )
+    replace(good)
     with pytest.raises(ValueError):
-        validate_view(bad)
-    bad = TreeView(
-        n=good.n,
-        dim=good.dim,
-        nodes=good.nodes[::-1],
-        pending=good.pending,
-        leaves_seen=good.leaves_seen,
-    )
+        TreeView(
+            n=good.n,
+            dim=good.dim,
+            nodes=good.nodes,
+            pending=good.pending,
+            leaves_seen=good.leaves_seen + 1,
+        )
     with pytest.raises(ValueError):
-        validate_view(bad)
+        TreeView(
+            n=good.n,
+            dim=good.dim,
+            nodes=good.nodes[::-1],
+            pending=good.pending,
+            leaves_seen=good.leaves_seen,
+        )
+
+
+def _node_with(node, **summary):
+    """node with some of its summary's fields replaced."""
+    return replace(node, summary=replace(node.summary, **summary))
+
+
+# Each case breaks one structural invariant of a valid n=2, dim=3 view
+# over 7 rows: nodes at levels 1 and 0 spanning [0, 4) and [4, 6), and
+# one pending row.
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        pytest.param(lambda v: dict(n=0), "need n >= 1 and dim >= 1", id="n-below-1"),
+        pytest.param(lambda v: dict(dim=0), "need n >= 1 and dim >= 1", id="dim-below-1"),
+        pytest.param(
+            lambda v: dict(nodes=v.nodes[::-1]),
+            "stack levels must strictly decrease",
+            id="levels-not-decreasing",
+        ),
+        pytest.param(
+            lambda v: dict(leaves_seen=4), "live nodes 2 != popcount of leaves 4", id="popcount"
+        ),
+        pytest.param(
+            lambda v: dict(nodes=(replace(v.nodes[0], span=(0, 3)), v.nodes[1])),
+            "node at level 1 spans 3 rows, expected 4",
+            id="span-length",
+        ),
+        pytest.param(
+            lambda v: dict(
+                nodes=tuple(replace(x, span=(x.span[0] + 1, x.span[1] + 1)) for x in v.nodes)
+            ),
+            "must tile the stream contiguously from row 0",
+            id="spans-not-from-row-0",
+        ),
+        pytest.param(
+            lambda v: dict(
+                nodes=(_node_with(v.nodes[0], block=DataBlock(np.ones((2, 4)))), v.nodes[1])
+            ),
+            "node summary has dim 4, view has 3",
+            id="node-dim",
+        ),
+        pytest.param(
+            lambda v: dict(
+                nodes=(_node_with(v.nodes[0], block=DataBlock(np.ones((3, 3)))), v.nodes[1])
+            ),
+            "node summary exceeds the row budget",
+            id="node-rows-over-n",
+        ),
+        pytest.param(
+            lambda v: dict(nodes=(_node_with(v.nodes[0], source_rows=5), v.nodes[1])),
+            "node source_rows disagrees with its span",
+            id="source-rows-off-span",
+        ),
+        pytest.param(
+            lambda v: dict(pending=np.ones((1, 4))),
+            "pending has shape",
+            id="pending-shape",
+        ),
+        pytest.param(
+            lambda v: dict(pending=np.ones((2, 3))),
+            "pending buffer must stay below one leaf",
+            id="pending-full-leaf",
+        ),
+        pytest.param(
+            lambda v: dict(leaves_seen=5),
+            "leaves_seen disagrees with covered span",
+            id="leaves-seen-off-coverage",
+        ),
+    ],
+)
+def test_the_view_constructor_refuses_each_structural_fault(fault, message):
+    tree = CoresetTree(2, 3)
+    push_stream(tree, 7, seed=3)
+    good = tree.snapshot()
+    assert [(x.level, x.span) for x in good.nodes] == [(1, (0, 4)), (0, (4, 6))]
+    assert good.pending.shape == (1, 3)
+    fields = dict(n=2, dim=3, nodes=good.nodes, pending=good.pending, leaves_seen=3)
+    with pytest.raises(ValueError, match=message):
+        TreeView(**{**fields, **fault(good)})
+    with pytest.raises(ValueError, match=message):
+        replace(good, **fault(good))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -240,7 +319,7 @@ def test_a_hand_built_view_keeps_a_read_only_copy_of_its_pending_rows():
     assert np.array_equal(view.pending, good.pending)
     with pytest.raises(ValueError):
         view.pending[0, 0] = 1e9
-    validate_view(view)
+    replace(view)
 
 
 @pytest.mark.parametrize("points", [3, 4 * 4, 5 * 4 + 3])
@@ -265,8 +344,8 @@ def test_a_snapshot_view_matches_one_built_by_the_public_constructor(points):
     assert not view.pending.flags.writeable and not built.pending.flags.writeable
     for counter in ("points_seen", "merge_count", "max_live_nodes"):
         assert getattr(view, counter) == getattr(built, counter)
-    validate_view(view)
-    validate_view(built)
+    replace(view)
+    replace(built)
 
 
 def test_node_spans_tile_the_stream():
@@ -412,7 +491,7 @@ def test_push_rows_stops_where_per_row_pushes_stop_on_a_raising_merge():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="overflow"):
             tree.push_rows(np.full((6, 2), 1e308))
-    validate_view(tree.snapshot())
+    replace(tree.snapshot())
     assert tree.points_seen == 3
     assert tree.leaves_seen == 1
     assert tree.merge_count == 0
@@ -448,7 +527,7 @@ def test_snapshots_taken_during_push_rows_are_consistent():
     def read():
         while not done.is_set():
             try:
-                validate_view(tree.snapshot())
+                replace(tree.snapshot())
             except ValueError as exc:
                 failures.append(exc)
 
@@ -517,7 +596,7 @@ def test_root_collapse_respects_budget_and_conservation():
     assert root.source_rows == 57
     assert root.c >= 0.0
     # Collapsing must not disturb the tree itself.
-    validate_view(tree.snapshot())
+    replace(tree.snapshot())
     assert tree.points_seen == 57
 
 
