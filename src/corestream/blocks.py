@@ -14,6 +14,7 @@ makes them mergeable further up a summary tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,11 @@ def _wrap(cls, **fields):
     return obj
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite; cheaper than isfinite(a).all() on short rows."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 @dataclass(frozen=True, eq=False)
 class DataBlock:
     """A dense rows x dim matrix of feature vectors.
@@ -56,7 +62,7 @@ class DataBlock:
             raise ValueError(f"expected a 2-d matrix, got ndim={v.ndim}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"matrix must be at least 1x1, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not _finite(v):
             raise ValueError("matrix entries must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -90,7 +96,7 @@ class CoresetBlock:
     source_rows: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.c) or self.c < 0.0:
+        if not math.isfinite(self.c) or self.c < 0.0:
             raise ValueError(f"additive constant must be finite and >= 0, got {self.c}")
         if self.source_rows < self.block.rows:
             raise ValueError(
@@ -142,7 +148,7 @@ def _gram_spectrum(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray] 
     its roundoff."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = values.T @ values
-    if not np.isfinite(gram).all():
+    if not _finite(gram):
         return None
     lam, vecs = np.linalg.eigh(gram)
     if not np.sum(lam[: values.shape[1] - n]) > _GRAM_TAIL_FLOOR * lam[-1]:
@@ -182,7 +188,7 @@ def svd_truncate(values: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     signs[signs == 0.0] = 1.0
     rows = (s[: kept.shape[0]] * signs)[:, None] * kept
     # Finite input can still overflow when its energy nears 1e308.
-    if not np.isfinite(rows).all():
+    if not _finite(rows):
         raise ValueError("singular rows overflowed")
     tail = float(np.sum(s[n:] ** 2))
     return rows, tail

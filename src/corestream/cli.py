@@ -11,6 +11,7 @@ every read and write, config lookup included, goes through io.
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 import time
@@ -203,14 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon-k", type=int, default=1, help="probe subspace dimension")
     p.add_argument("--trials", type=int, default=100, help="probe count")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("tree-build", help="stream a feature file through a tree")
     p.add_argument("--in", dest="infile", required=True, help="input feature file")
     p.add_argument("--n", type=int, required=True, help="leaf size")
     p.add_argument("--snapshot-out", required=True, help="tree snapshot (JSON)")
     p.add_argument("--telemetry-out", required=True, help="telemetry CSV")
-    p.set_defaults(func=cmd_tree_build)
 
     p = sub.add_parser("sample", help="draw a training sample from a snapshot")
     p.add_argument("--snapshot", required=True, help="tree snapshot (JSON)")
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--features", default=None, help="raw stream file, for random/subsample only"
     )
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("track", help="run the tracking loop on a synthetic stream", parents=[loop])
     p.add_argument("--config", required=True, help="stream config path or bundled name")
@@ -228,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", default=TrackerParams.sampler, choices=SAMPLER_MODES)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--out", required=True, help="per-frame track table CSV")
-    p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("bench", help="benchmark ingest or training over a grid", parents=[train])
     p.add_argument("--mode", required=True, choices=("time", "svm-time"))
@@ -237,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="results CSV")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "compare-sampling", help="paired sampler comparison on identical streams", parents=[loop]
@@ -246,16 +242,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, help="comma-separated leaf sizes")
     p.add_argument("--seeds", required=True, help="comma-separated stream seeds")
     p.add_argument("--out", required=True, help="results CSV")
-    p.set_defaults(func=cmd_compare_sampling)
 
     return parser
 
 
+# One parser per process; it holds no function, so a wrapper set on cmd_* runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _wrap
+from .blocks import _finite, _wrap
 
 STATE_DIM = 4
 OBS_DIM = 2
@@ -37,16 +37,18 @@ _H = _I4[:OBS_DIM].copy()
 
 
 def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    """A read-only copy of m, checked to be a finite symmetric PSD size x size matrix."""
+    m = np.array(m, dtype=float)
     if m.shape != (size, size):
         raise ValueError(f"{name} must be {size}x{size}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not _finite(m):
         raise ValueError(f"{name} entries must be finite")
     # Halving first keeps entries near the float limit from overflowing.
     half = m / 2.0
     if float(np.max(np.abs(half - half.T))) > _SYM_TOL / 2.0:
         raise ValueError(f"{name} must be symmetric within {_SYM_TOL}")
     _check_psd(half + half.T, name)
+    m.setflags(write=False)
     return m
 
 
@@ -72,19 +74,17 @@ class KalmanState:
         x = np.array(self.x, dtype=float)
         if x.shape != (STATE_DIM,):
             raise ValueError(f"state mean must have shape ({STATE_DIM},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not _finite(x):
             raise ValueError("state mean must be finite")
         p = _check_covariance(self.P, STATE_DIM, "state covariance")
         x.setflags(write=False)
-        p = p.copy()
-        p.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "P", p)
 
     @classmethod
     def _trusted(cls, x: np.ndarray, p: np.ndarray) -> "KalmanState":
         """Wrap a fresh mean and an exactly symmetric covariance."""
-        if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        if not (_finite(x) and _finite(p)):
             raise ValueError("state mean and covariance must be finite")
         _check_psd(p, "state covariance")
         x.setflags(write=False)
@@ -104,10 +104,8 @@ class NoiseParams:
     R: np.ndarray
 
     def __post_init__(self) -> None:
-        q = _check_covariance(self.Q, STATE_DIM, "process covariance").copy()
-        r = _check_covariance(self.R, OBS_DIM, "measurement covariance").copy()
-        q.setflags(write=False)
-        r.setflags(write=False)
+        q = _check_covariance(self.Q, STATE_DIM, "process covariance")
+        r = _check_covariance(self.R, OBS_DIM, "measurement covariance")
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "R", r)
 
@@ -138,7 +136,7 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
     z = np.asarray(z, dtype=float)
     if z.shape != (OBS_DIM,):
         raise ValueError(f"observation must have shape ({OBS_DIM},), got {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not _finite(z):
         raise ValueError("observation must be finite")
     s = state.P[:OBS_DIM, :OBS_DIM] + noise.R
     gain = np.linalg.solve(s.T, state.P.T[:OBS_DIM]).T
@@ -274,7 +272,7 @@ def em_fit(centers: np.ndarray, iterations: int = 20) -> tuple[NoiseParams, list
         raise ValueError(f"centers must be shaped (t, {OBS_DIM}), got {zs.shape}")
     if zs.shape[0] < 4:
         raise ValueError(f"need at least 4 centers, got {zs.shape[0]}")
-    if not np.all(np.isfinite(zs)):
+    if not _finite(zs):
         raise ValueError("centers must be finite")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")

@@ -17,11 +17,13 @@ either one point of shape (d,) or a stack of points of shape (k, d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .blocks import _finite
 from .sampling import SampleSet
 
 # A step is halved at most this many times before being rejected.
@@ -40,7 +42,7 @@ class LinearModel:
         w = np.array(self.w, dtype=float)
         if w.ndim != 1:
             raise ValueError(f"weights must be a vector, got ndim={w.ndim}")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.b) and np.isfinite(self.threshold)):
+        if not (_finite(w) and math.isfinite(self.b) and math.isfinite(self.threshold)):
             raise ValueError("model parameters must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -66,11 +68,11 @@ class TrainParams:
     nu: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.regularization) and self.regularization > 0):
+        if not (math.isfinite(self.regularization) and self.regularization > 0):
             raise ValueError(f"regularization must be > 0, got {self.regularization}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu must be in (0, 1], got {self.nu}")

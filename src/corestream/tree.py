@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CoresetBlock, DataBlock, _wrap, concat_blocks, svd_truncate
+from .blocks import CoresetBlock, DataBlock, _finite, _wrap, concat_blocks, svd_truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +74,7 @@ class TreeView(_Counters):
 
     def __post_init__(self) -> None:
         pending = np.array(self.pending, dtype=float)
-        if not np.isfinite(pending).all():
+        if not _finite(pending):
             raise ValueError("pending rows must be finite")
         pending.setflags(write=False)
         object.__setattr__(self, "pending", pending)
@@ -180,7 +180,7 @@ class CoresetTree(_Counters):
         row = np.asarray(row, dtype=float)
         if row.shape != (self.dim,):
             raise ValueError(f"expected a row of shape ({self.dim},), got {row.shape}")
-        if not np.isfinite(row).all():
+        if not _finite(row):
             raise ValueError("row entries must be finite")
         return self._push(row[None])
 
@@ -194,7 +194,7 @@ class CoresetTree(_Counters):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise ValueError(f"expected rows of shape (k, {self.dim}), got {rows.shape}")
-        if not np.isfinite(rows).all():
+        if not _finite(rows):
             raise ValueError("row entries must be finite")
         leaves = start = 0
         while start < rows.shape[0]:

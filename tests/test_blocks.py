@@ -1,6 +1,8 @@
 """Tests for the SVD compression primitive and its error bookkeeping."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from corestream import (
     reduce_block,
     svd_truncate,
 )
+from corestream import blocks
 
 
 def known_spectrum(rows: int, dim: int, spectrum, seed: int) -> np.ndarray:
@@ -319,3 +322,30 @@ def test_measure_epsilon_sees_an_inflated_constant():
     original = DataBlock(a)
     padded = CoresetBlock(block=DataBlock(a), c=1.0, source_rows=6)
     assert measure_epsilon(original, padded, k=2, trials=20) > 1e-3
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3), (1,), (7,), (3, 5)])
+def test_the_finite_helper_agrees_with_isfinite_all(shape):
+    rng = np.random.default_rng(len(shape))
+    for bad in (None, np.nan, np.inf, -np.inf):
+        a = rng.standard_normal(shape)
+        if bad is not None and a.size:
+            a.flat[rng.integers(a.size)] = bad
+        assert blocks._finite(a) == np.isfinite(a).all()
+
+
+def test_every_array_finite_check_uses_the_helper():
+    # np.isfinite(a).all() and np.all(np.isfinite(a)) cost about twice
+    # blocks._finite on the short rows checked once per push.
+    def isfinite_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "isfinite"
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(blocks.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "all"
+        and (isfinite_call(node.func.value) or any(map(isfinite_call, node.args)))
+    ]
+    assert offenders == []

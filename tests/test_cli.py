@@ -193,6 +193,39 @@ def test_tree_build_five_leaves_leave_two_nodes(tmp_path):
     assert stdout_value(result, "live_nodes") == "2"
 
 
+def test_in_process_main_keeps_one_parser_and_looks_up_each_command(
+    tmp_path, monkeypatch, capsys
+):
+    # main parses with one cached parser but finds cmd_<command> when it
+    # runs, so a wrapper set on the module afterwards is what gets called.
+    infile = str(tmp_path / "feat.txt")
+    io.write_features(infile, DataBlock(np.random.default_rng(5).standard_normal((19, 3))))
+
+    def tree_build(name):
+        return [
+            "tree-build", "--in", infile, "--n", "4",
+            "--snapshot-out", str(tmp_path / name), "--telemetry-out", str(tmp_path / "t.csv"),
+        ]
+
+    assert cli.main(tree_build("a.json")) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["sample", "--snapshot", str(tmp_path / "a.json"), "--mode", "frog"])
+    assert usage.value.code == 2
+    sample = ["sample", "--snapshot", str(tmp_path / "a.json"), "--mode", "hierarchical"]
+    assert cli.main([*sample, "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(tree_build("b.json")) == 0
+    assert capsys.readouterr().out == first
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert cli._parser.cache_info().misses == 1
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_tree_build", lambda args: calls.append(args.n) or 0)
+    assert cli.main(tree_build("c.json")) == 0
+    assert calls == [4] and not (tmp_path / "c.json").exists()
+
+
 def test_tree_build_empty_input_is_a_usage_error(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

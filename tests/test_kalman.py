@@ -137,6 +137,31 @@ def test_update_input_validation():
         kalman_update(state, np.array([1.0, np.inf]), noise)
 
 
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_first_or_last_entry_is_refused(value, where):
+    state = KalmanState(x=np.zeros(4), P=np.eye(4))
+    z = np.ones(2)
+    z[where] = value
+    with pytest.raises(ValueError, match="^observation must be finite$"):
+        kalman_update(state, z, NoiseParams.default())
+    x = np.zeros(4)
+    x[where] = value
+    with pytest.raises(ValueError, match="^state mean must be finite$"):
+        KalmanState(x=x, P=np.eye(4))
+    p = np.eye(4)
+    p[where, where] = value
+    with pytest.raises(ValueError, match="^state covariance entries must be finite$"):
+        KalmanState(x=np.zeros(4), P=p)
+
+
+def test_entries_near_the_float_limit_are_accepted_without_a_warning():
+    big = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308])
+    state = KalmanState(x=big, P=np.eye(4))
+    updated = kalman_update(state, big[:2], NoiseParams.default())
+    assert np.array_equal(updated.x[:2], big[:2])
+
+
 def test_filter_states_keep_the_finite_and_psd_checks():
     with pytest.raises(ValueError, match="finite"):
         KalmanState._trusted(np.array([0.0, np.nan, 0.0, 0.0]), np.eye(4))

@@ -58,6 +58,30 @@ def test_push_point_validation():
     assert tree.points_seen == 0
 
 
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_pushes_refuse_a_non_finite_first_or_last_entry(value, where):
+    tree = CoresetTree(4, 3)
+    row = np.ones(3)
+    row[where] = value
+    with pytest.raises(ValueError, match="^row entries must be finite$"):
+        tree.push_point(row)
+    rows = np.ones((6, 3))
+    rows[where, where] = value
+    with pytest.raises(ValueError, match="^row entries must be finite$"):
+        tree.push_rows(rows)
+    assert tree.points_seen == 0
+
+
+def test_rows_near_the_float_limit_are_accepted_without_a_warning():
+    # RuntimeWarning is an error under pytest, so any overflow in the
+    # finite check would fail here.
+    tree = CoresetTree(4, 3)
+    tree.push_point(np.array([1.7e308, -1.7e308, 1.7e308]))
+    tree.push_rows(np.array([[-1.7e308, 1.7e308, -1.7e308]] * 2))
+    assert tree.points_seen == 3
+
+
 def test_a_merge_that_overflows_raises():
     # Every entry is finite, but the merged leaves' top singular value
     # lies beyond the float range.  The failed push commits nothing: the
