@@ -14,8 +14,9 @@ makes them mergeable further up a summary tree.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -42,6 +43,23 @@ def _wrap(cls, **fields):
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of a is finite; cheaper than isfinite(a).all() on short rows."""
     return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _check_fields(obj) -> None:
+    """Check the dataclass obj's int, float and float | None fields: integer fields take
+    integers and float fields finite numbers or, where annotated, None; neither takes a
+    boolean.  A wrong type raises TypeError, a non-finite number or an int beyond float
+    range ValueError, naming the field.  Plain ints and floats skip the slower ABC checks."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and type(value) is not int:
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" or f.type == "float | None" and value is not None:
+            if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise TypeError(f"{f.name} must be a number, got {value!r}")
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +114,8 @@ class CoresetBlock:
     source_rows: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.c) or self.c < 0.0:
+        _check_fields(self)
+        if self.c < 0.0:
             raise ValueError(f"additive constant must be finite and >= 0, got {self.c}")
         if self.source_rows < self.block.rows:
             raise ValueError(

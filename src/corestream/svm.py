@@ -17,13 +17,12 @@ either one point of shape (d,) or a stack of points of shape (k, d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .blocks import _finite
+from .blocks import _check_fields, _finite
 from .sampling import SampleSet
 
 # A step is halved at most this many times before being rejected.
@@ -39,10 +38,11 @@ class LinearModel:
     threshold: float
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         w = np.array(self.w, dtype=float)
         if w.ndim != 1:
             raise ValueError(f"weights must be a vector, got ndim={w.ndim}")
-        if not (_finite(w) and math.isfinite(self.b) and math.isfinite(self.threshold)):
+        if not _finite(w):
             raise ValueError("model parameters must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -68,11 +68,12 @@ class TrainParams:
     nu: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.regularization) and self.regularization > 0):
+        _check_fields(self)
+        if self.regularization <= 0:
             raise ValueError(f"regularization must be > 0, got {self.regularization}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
+        if self.step_size <= 0:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu must be in (0, 1], got {self.nu}")

@@ -14,14 +14,13 @@ trust to seed the model.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .blocks import DataBlock
+from .blocks import DataBlock, _check_fields
 from .kalman import KalmanState, NoiseParams, em_fit, kalman_predict, kalman_update
 from .sampling import (
     History,
@@ -71,8 +70,7 @@ class SyntheticStreamConfig:
     target keeps from the walls); a detection within half of it of the
     true position counts as correct.  jitter_copies adds that
     many perturbed copies of each bootstrap feature to enrich the
-    initial model.  Integer fields take integers and float fields finite
-    numbers; neither takes a boolean.
+    initial model.
     """
 
     dim: int = 16
@@ -90,15 +88,7 @@ class SyntheticStreamConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            integral = f.type == "int"
-            kind = numbers.Integral if integral else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if integral else "a number"
-                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
-            if not integral and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        _check_fields(self)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.frames < 1:
@@ -152,9 +142,7 @@ class DetectParams:
 
     threshold: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.threshold is not None and not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -166,6 +154,7 @@ class TrackerParams:
     em_every: int = 1
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.n < 2:
             raise ValueError(f"leaf size n must be >= 2, got {self.n}")
         if self.sampler not in SAMPLER_MODES:

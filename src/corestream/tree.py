@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CoresetBlock, DataBlock, _finite, _wrap, concat_blocks, svd_truncate
+from .blocks import CoresetBlock, DataBlock, _check_fields, _finite, _wrap, concat_blocks, svd_truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +73,7 @@ class TreeView(_Counters):
     _trusted = classmethod(_wrap)
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         pending = np.array(self.pending, dtype=float)
         if not _finite(pending):
             raise ValueError("pending rows must be finite")

@@ -1,7 +1,9 @@
 """Tests for the SVD compression primitive and its error bookkeeping."""
 
 import ast
+import math
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from corestream import (
     CoresetBlock,
+    CoresetTree,
     DataBlock,
+    DetectParams,
+    LinearModel,
+    SyntheticStreamConfig,
+    TrackerParams,
+    TrainParams,
     concat_blocks,
     dist_sq,
     measure_epsilon,
@@ -349,3 +357,141 @@ def test_every_array_finite_check_uses_the_helper():
         and (isfinite_call(node.func.value) or any(map(isfinite_call, node.args)))
     ]
     assert offenders == []
+
+
+def test_every_scalar_field_check_uses_the_helper():
+    # blocks._check_fields is the one type and finite check on scalar
+    # fields; a constructor that checks one itself starts a second idiom.
+    def own_check(node):
+        if not isinstance(node, ast.Call):
+            return False
+        if getattr(node.func, "attr", None) == "isfinite":
+            return getattr(node.func.value, "id", None) == "math"
+        return getattr(node.func, "id", None) == "isinstance" and any(
+            getattr(name, "id", None) in ("numbers", "Integral", "Real")
+            for name in ast.walk(node.args[1])
+        )
+
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(blocks.__file__).parent.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+        for node in ast.walk(func)
+        if own_check(node)
+    ]
+    assert offenders == []
+
+
+def small_view():
+    """A valid n=2, dim=3 view over 7 rows."""
+    tree = CoresetTree(2, 3)
+    for row in np.ones((7, 3)):
+        tree.push_point(row)
+    return tree.snapshot()
+
+
+# A valid instance of each class whose constructor calls blocks._check_fields.
+CHECKED = {
+    "CoresetBlock": lambda: CoresetBlock(block=DataBlock(np.ones((2, 2))), c=2.0, source_rows=10),
+    "LinearModel": lambda: LinearModel(w=np.ones(2), b=0.0, threshold=1.0),
+    "TrainParams": TrainParams,
+    "DetectParams": lambda: DetectParams(threshold=1.0),
+    "TrackerParams": TrackerParams,
+    "SyntheticStreamConfig": SyntheticStreamConfig,
+    "TreeView": small_view,
+}
+
+
+def scalar_fields(obj):
+    return [f for f in fields(obj) if f.type in ("int", "float", "float | None")]
+
+
+def build(make, via, **changes):
+    """make() with changes, through the constructor or through dataclasses.replace."""
+    base = make()
+    if via == "replace":
+        return replace(base, **changes)
+    return type(base)(**{f.name: getattr(base, f.name) for f in fields(base)} | changes)
+
+
+def bad_field_values():
+    for name, make in CHECKED.items():
+        for f in scalar_fields(make()):
+            if f.type == "int":
+                cases = [("bool", True, TypeError, "an integer"), ("float", 2.0, TypeError, "an integer")]
+            else:
+                cases = [
+                    ("bool", True, TypeError, "a number"),
+                    ("str", "x", TypeError, "a number"),
+                    ("nan", math.nan, ValueError, "finite"),
+                ]
+            for via in ("init", "replace"):
+                for label, value, error, noun in cases:
+                    yield pytest.param(
+                        make, via, f.name, value, error, f"^{f.name} must be {noun}, got ",
+                        id=f"{name}-{f.name}-{label}-{via}",
+                    )
+
+
+@pytest.mark.parametrize("make, via, field, value, error, message", bad_field_values())
+def test_every_scalar_field_refuses_a_wrong_type_or_a_non_finite_number(
+    make, via, field, value, error, message
+):
+    with pytest.raises(error, match=message):
+        build(make, via, **{field: value})
+
+
+@pytest.mark.parametrize("name", list(CHECKED))
+def test_scalar_fields_take_numpy_scalars_and_floats_take_ints(name):
+    base = CHECKED[name]()
+    for f in scalar_fields(base):
+        value = getattr(base, f.name)
+        takes = [np.int64(value)] if f.type == "int" else [np.float64(value)]
+        if f.type != "int" and float(value).is_integer():
+            takes.append(int(value))
+        for good in takes:
+            for via in ("init", "replace"):
+                assert getattr(build(CHECKED[name], via, **{f.name: good}), f.name) == good
+
+
+@pytest.mark.parametrize(
+    "probe, error, message",
+    [
+        pytest.param(lambda: TrackerParams(n=16.0), TypeError, "^n must be", id="tracker-n-float"),
+        pytest.param(
+            lambda: TrainParams(iterations=120.0), TypeError, "^iterations must be", id="iterations-float"
+        ),
+        pytest.param(
+            lambda: TrainParams(iterations=True), TypeError, "^iterations must be", id="iterations-bool"
+        ),
+        pytest.param(lambda: replace(small_view(), n=2.0), TypeError, "^n must be", id="view-n-float"),
+        pytest.param(
+            lambda: replace(small_view(), leaves_seen=3.0),
+            TypeError,
+            "^leaves_seen must be",
+            id="view-leaves-seen-float",
+        ),
+        pytest.param(
+            lambda: TrainParams(step_size="x"), TypeError, "^step_size must be", id="step-size-str"
+        ),
+        pytest.param(
+            lambda: TrainParams(regularization=np.array([1e-3])),
+            TypeError,
+            "^regularization must be",
+            id="regularization-array",
+        ),
+        pytest.param(
+            lambda: LinearModel(w=[1.0], b=None, threshold=0.0), TypeError, "^b must be", id="model-b-none"
+        ),
+        pytest.param(
+            lambda: CoresetBlock(block=DataBlock(np.ones((1, 1))), c=10**400, source_rows=1),
+            ValueError,
+            "^c must be finite",
+            id="c-beyond-float-range",
+        ),
+    ],
+)
+def test_each_baseline_probe_is_refused_by_name(probe, error, message):
+    with pytest.raises(error, match=message):
+        probe()

@@ -47,6 +47,22 @@ def test_constructor_validation():
         CoresetTree(3, 0)
 
 
+@pytest.mark.parametrize(
+    "n, dim",
+    [
+        pytest.param(2.0, 3, id="n-float"),
+        pytest.param(True, 3, id="n-bool"),
+        pytest.param(2, 3.0, id="dim-float"),
+        pytest.param(2, True, id="dim-bool"),
+    ],
+)
+def test_constructor_leaves_non_integer_sizes_to_numpy(n, dim):
+    # The leaf buffer's np.empty((n, dim)) already refuses a float or a
+    # boolean size, so the tree adds no field check of its own.
+    with pytest.raises(TypeError):
+        CoresetTree(n, dim)
+
+
 def test_push_point_validation():
     tree = CoresetTree(2, 3)
     with pytest.raises(ValueError):
