@@ -49,12 +49,14 @@ def _check_fields(obj) -> None:
     """Check the dataclass obj's int, float and float | None fields: integer fields take
     integers and float fields finite numbers or, where annotated, None; neither takes a
     boolean.  A wrong type raises TypeError, a non-finite number or an int beyond float
-    range ValueError, naming the field.  Plain ints and floats skip the slower ABC checks."""
+    range ValueError, naming the field.  Any other integral type, such as np.int64, is
+    stored as int.  Plain ints and floats skip the slower ABC checks."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int" and type(value) is not int:
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(obj, f.name, int(value))
         if f.type == "float" or f.type == "float | None" and value is not None:
             if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
                 raise TypeError(f"{f.name} must be a number, got {value!r}")

@@ -7,22 +7,26 @@ Feature matrices travel either as text (a ``dim=<d> rows=<r>`` header
 line, then one space-separated row per line) or as a little-endian
 binary stream (magic ``CSTK``, u32 version, u64 rows, u32 dim, then
 row-major float64).  Readers sniff the magic, so callers never state
-the encoding.  Structured state (summary blocks, tree snapshots) is
-JSON with floats written in shortest round-trip form, which keeps the
-files human-diffable and the round trip exact.
+the encoding.  A binary file is written from the array's own buffer and
+read into the one array the reader returns, so reading needs its payload
+once, not twice; the file size is checked against the header before
+anything is allocated.  Structured state (summary blocks, tree
+snapshots) is JSON with floats written in shortest round-trip form,
+which keeps the files human-diffable and the round trip exact.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from importlib import resources
 from itertools import chain
 
 import numpy as np
 
-from .blocks import CoresetBlock, DataBlock
+from .blocks import CoresetBlock, DataBlock, _finite
 from .sampling import SampleSet
 from .tracking import SyntheticStreamConfig, config_from_dict
 from .tree import CoresetNode, TreeView
@@ -48,7 +52,7 @@ def write_features(path: str, block: DataBlock, binary: bool = False) -> None:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<IQI", BINARY_VERSION, block.rows, block.dim))
-            fh.write(np.ascontiguousarray(block.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(block.values, dtype="<f8").data)
         return
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"dim={block.dim} rows={block.rows}\n")
@@ -106,31 +110,41 @@ def _read_features_text(path: str) -> DataBlock:
 
 
 def _read_features_binary(path: str) -> DataBlock:
-    with open(path, "rb") as fh:
-        raw = fh.read()
     header_len = len(MAGIC) + struct.calcsize("<IQI")
-    if len(raw) < header_len:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(header_len)
+        if len(head) < header_len:
+            raise FormatError(
+                f"{path}: byte {len(head)}: truncated header, need {header_len} bytes"
+            )
+        version, rows, dim = struct.unpack_from("<IQI", head, len(MAGIC))
+        if version != BINARY_VERSION:
+            raise FormatError(
+                f"{path}: byte {len(MAGIC)}: unsupported version {version}, "
+                f"expected {BINARY_VERSION}"
+            )
+        if dim < 1:
+            raise FormatError(f"{path}: byte {len(MAGIC) + 12}: dim must be >= 1, got {dim}")
+        expected = header_len + rows * dim * 8
+        if size != expected:
+            raise FormatError(
+                f"{path}: byte {min(size, expected)}: payload holds {size - header_len} "
+                f"bytes, header promises {rows * dim * 8}"
+            )
+        if rows == 0:
+            raise FormatError(f"{path}: header declares zero rows, nothing to read")
+        # Bounded by the file's size; readinto's count catches a file cut since.
+        values = np.empty((rows, dim), dtype="<f8")
+        got = fh.readinto(values)
+    if got != values.nbytes:
         raise FormatError(
-            f"{path}: byte {len(raw)}: truncated header, need {header_len} bytes"
+            f"{path}: byte {header_len + got}: payload holds {got} bytes, "
+            f"header promises {values.nbytes}"
         )
-    version, rows, dim = struct.unpack_from("<IQI", raw, len(MAGIC))
-    if version != BINARY_VERSION:
-        raise FormatError(
-            f"{path}: byte {len(MAGIC)}: unsupported version {version}, "
-            f"expected {BINARY_VERSION}"
-        )
-    if dim < 1:
-        raise FormatError(f"{path}: byte {len(MAGIC) + 12}: dim must be >= 1, got {dim}")
-    expected = header_len + rows * dim * 8
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: byte {min(len(raw), expected)}: payload holds {len(raw) - header_len} "
-            f"bytes, header promises {rows * dim * 8}"
-        )
-    if rows == 0:
-        raise FormatError(f"{path}: header declares zero rows, nothing to read")
-    data = np.frombuffer(raw, dtype="<f8", offset=header_len).reshape(rows, dim)
-    return DataBlock(data)
+    if not _finite(values):
+        raise ValueError("matrix entries must be finite")
+    return DataBlock._trusted(values)
 
 
 def read_features(path: str) -> DataBlock:
@@ -327,7 +341,7 @@ def read_stream_config(source: str) -> SyntheticStreamConfig:
     try:
         raw = _load_json(source)
     except FileNotFoundError:
-        bundled = resources.files("corestream").joinpath(f"configs/{source}.json")
+        bundled = resources.files(__package__).joinpath(f"configs/{source}.json")
         if not bundled.is_file():
             raise FormatError(
                 f"no config file {source!r} and no bundled config of that name"

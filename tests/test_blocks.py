@@ -455,6 +455,15 @@ def test_scalar_fields_take_numpy_scalars_and_floats_take_ints(name):
                 assert getattr(build(CHECKED[name], via, **{f.name: good}), f.name) == good
 
 
+def test_numpy_integers_are_stored_as_python_ints():
+    # max_live_nodes calls int.bit_length, which np.int64 lacks.
+    view = replace(small_view(), leaves_seen=np.int64(3))
+    assert type(view.leaves_seen) is int
+    assert view.max_live_nodes == 2
+    assert view.merge_count == 1
+    assert type(TrackerParams(n=np.int64(16)).n) is int
+
+
 @pytest.mark.parametrize(
     "probe, error, message",
     [

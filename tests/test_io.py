@@ -2,11 +2,18 @@
 
 import ast
 import csv
+import importlib
+import importlib.util
 import inspect
 import json
 import re
+import shutil
+import struct
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,8 +128,6 @@ def test_binary_parse_errors(tmp_path):
     with pytest.raises(FormatError, match="truncated header"):
         io.read_features(str(path))
 
-    import struct
-
     path.write_bytes(b"CSTK" + struct.pack("<IQI", 9, 1, 2) + b"\x00" * 16)
     with pytest.raises(FormatError, match="version"):
         io.read_features(str(path))
@@ -134,6 +139,71 @@ def test_binary_parse_errors(tmp_path):
     path.write_bytes(b"CSTK" + struct.pack("<IQI", 1, 0, 2))
     with pytest.raises(FormatError, match="zero rows"):
         io.read_features(str(path))
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_binary_reader_holds_the_payload_once(tmp_path):
+    # One array of the payload plus the finite check's one-byte-per-entry
+    # mask; reading the bytes first and copying them would hold it twice.
+    path = str(tmp_path / "f.bin")
+    block = feature_block(2000, 128)
+    io.write_features(path, block, binary=True)
+    peak = traced_peak(lambda: io.read_features(path))
+    assert peak <= 1.25 * block.values.nbytes
+
+
+def test_binary_writer_copies_no_payload(tmp_path):
+    block = feature_block(2000, 128)
+    peak = traced_peak(lambda: io.write_features(str(tmp_path / "f.bin"), block, binary=True))
+    assert peak <= 0.25 * block.values.nbytes
+
+
+def test_binary_header_cannot_size_an_allocation(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(b"CSTK" + struct.pack("<IQI", 1, 2**40, 2) + b"\x00" * 16)
+    message = "byte 36: payload holds 16 bytes, header promises 17592186044416"
+
+    def read():
+        with pytest.raises(FormatError, match=message):
+            io.read_features(str(path))
+
+    assert traced_peak(read) < 1 << 20
+
+
+def test_binary_short_read_is_refused(tmp_path, monkeypatch):
+    # The file holds 3 of the 4 rows its header promises, but fstat is
+    # made to report the full size, as if the file shrank after the check.
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"CSTK" + struct.pack("<IQI", 1, 4, 2) + b"\x00" * 48)
+    monkeypatch.setattr(io.os, "fstat", lambda fd: SimpleNamespace(st_size=20 + 64))
+    with pytest.raises(FormatError, match="byte 68: payload holds 48 bytes, header promises 64"):
+        io.read_features(str(path))
+
+
+def test_binary_reader_refuses_non_finite_entries(tmp_path):
+    path = tmp_path / "nan.bin"
+    payload = np.array([[1.0, np.nan], [2.0, 3.0]], dtype="<f8").tobytes()
+    path.write_bytes(b"CSTK" + struct.pack("<IQI", 1, 2, 2) + payload)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        io.read_features(str(path))
+
+
+def test_binary_reader_returns_a_read_only_block(tmp_path):
+    path = str(tmp_path / "f.bin")
+    io.write_features(path, feature_block(3, 2), binary=True)
+    values = io.read_features(path).values
+    assert values.dtype == np.float64 and not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
 
 
 def test_coreset_block_round_trip(tmp_path):
@@ -511,6 +581,29 @@ def test_stream_config_refuses_wrong_typed_values(tmp_path, capsys, doc, message
 def test_bundled_stream_configs_pass_the_type_check():
     for name in ("drift_stream", "easy_stream"):
         assert io.read_stream_config(name).dim == 16
+
+
+def test_bundled_configs_come_from_the_package_directory(tmp_path):
+    # A copy of the package loaded under another name reads its own
+    # configs, not those of the installed corestream.
+    copy = tmp_path / "corestream_copy"
+    shutil.copytree(Path(io.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    config = copy / "configs" / "drift_stream.json"
+    doc = json.loads(config.read_text())
+    doc["frames"] += 1
+    config.write_text(json.dumps(doc))
+    spec = importlib.util.spec_from_file_location(
+        copy.name, copy / "__init__.py", submodule_search_locations=[str(copy)]
+    )
+    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(sys.modules[spec.name])
+        copy_io = importlib.import_module(f"{spec.name}.io")
+        assert copy_io.read_stream_config("drift_stream").frames == doc["frames"]
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == spec.name]:
+            del sys.modules[name]
+    assert io.read_stream_config("drift_stream").frames == doc["frames"] - 1
 
 
 def test_only_io_opens_files():
