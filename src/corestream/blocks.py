@@ -45,6 +45,25 @@ def _finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def _array(value, shape: tuple, what: str, copy: bool = False) -> np.ndarray:
+    """value as a float array of the given shape, None matching any length,
+    whose entries are all finite; otherwise ValueError naming what.  With
+    copy set the result is a private read-only copy, for values a
+    constructor keeps; without it value itself is returned if it already
+    is a float array."""
+    a = np.array(value, dtype=float) if copy else np.asarray(value, dtype=float)
+    if a.shape != shape and (
+        a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape))
+    ):
+        want = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
+        raise ValueError(f"{what} must be shaped {want}, got {a.shape}")
+    if not _finite(a):
+        raise ValueError(f"{what} must be finite")
+    if copy:
+        a.setflags(write=False)
+    return a
+
+
 def _check_fields(obj) -> None:
     """Check the dataclass obj's int, float and float | None fields: integer fields take
     integers and float fields finite numbers or, where annotated, None; neither takes a
@@ -77,14 +96,9 @@ class DataBlock:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got ndim={v.ndim}")
+        v = _array(self.values, (None, None), "matrix entries", copy=True)
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"matrix must be at least 1x1, got shape {v.shape}")
-        if not _finite(v):
-            raise ValueError("matrix entries must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -139,13 +153,7 @@ def dist_sq(block: DataBlock, y: np.ndarray) -> float:
     the orthogonal complement of a candidate subspace, this value is the
     summed squared distance of the rows to that subspace.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ValueError(f"query matrix must be 2-d, got ndim={y.ndim}")
-    if y.shape[0] != block.dim:
-        raise ValueError(
-            f"query matrix has {y.shape[0]} rows, block dimension is {block.dim}"
-        )
+    y = _array(y, (block.dim, None), "query matrix")
     _check_orthonormal(y)
     proj = block.values @ y
     return float(np.sum(proj * proj))

@@ -8,9 +8,10 @@ line, then one space-separated row per line) or as a little-endian
 binary stream (magic ``CSTK``, u32 version, u64 rows, u32 dim, then
 row-major float64).  Readers sniff the magic, so callers never state
 the encoding.  A binary file is written from the array's own buffer and
-read into the one array the reader returns, so reading needs its payload
-once, not twice; the file size is checked against the header before
-anything is allocated.  Structured state (summary blocks, tree
+read into the one array the reader returns, and a text file's values are
+gathered in one compact buffer that array wraps, so reading needs its
+payload once, not twice; the file size is checked against the header
+before anything is allocated.  Structured state (summary blocks, tree
 snapshots) is JSON with floats written in shortest round-trip form,
 which keeps the files human-diffable and the round trip exact.
 """
@@ -21,12 +22,13 @@ import csv
 import json
 import os
 import struct
+from array import array
 from importlib import resources
 from itertools import chain
 
 import numpy as np
 
-from .blocks import CoresetBlock, DataBlock, _finite
+from .blocks import CoresetBlock, DataBlock, _array
 from .sampling import SampleSet
 from .tracking import SyntheticStreamConfig, config_from_dict
 from .tree import CoresetNode, TreeView
@@ -61,7 +63,7 @@ def write_features(path: str, block: DataBlock, binary: bool = False) -> None:
             fh.write("\n")
 
 
-def _read_features_text(path: str) -> DataBlock:
+def _read_features_text(path: str) -> np.ndarray:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline()
         if not header:
@@ -88,10 +90,11 @@ def _read_features_text(path: str) -> DataBlock:
         if rows == 0:
             raise FormatError(f"{path}: header declares zero rows, nothing to read")
         # Rows are collected before the count is compared, so a header
-        # cannot make the reader allocate more than the file holds.
-        data: list[list[float]] = []
+        # cannot make the reader allocate more than the file holds.  They
+        # go into one compact buffer, which the returned array wraps.
+        data = array("d")
         for lineno, line in enumerate(fh, start=2):
-            if len(data) == rows:
+            if len(data) == rows * dim:
                 raise FormatError(f"{path}: line {lineno}: data past the {rows} rows declared")
             fields = line.split()
             if len(fields) != dim:
@@ -99,17 +102,16 @@ def _read_features_text(path: str) -> DataBlock:
                     f"{path}: line {lineno}: expected {dim} values, got {len(fields)}"
                 )
             try:
-                data.append([float(x) for x in fields])
+                data.extend(map(float, fields))
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
-        if len(data) < rows:
-            raise FormatError(
-                f"{path}: line {len(data) + 2}: file ends after {len(data)} of {rows} rows"
-            )
-        return DataBlock(np.array(data))
+    got = len(data) // dim
+    if got < rows:
+        raise FormatError(f"{path}: line {got + 2}: file ends after {got} of {rows} rows")
+    return np.frombuffer(data).reshape(rows, dim)
 
 
-def _read_features_binary(path: str) -> DataBlock:
+def _read_features_binary(path: str) -> np.ndarray:
     header_len = len(MAGIC) + struct.calcsize("<IQI")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -142,18 +144,19 @@ def _read_features_binary(path: str) -> DataBlock:
             f"{path}: byte {header_len + got}: payload holds {got} bytes, "
             f"header promises {values.nbytes}"
         )
-    if not _finite(values):
-        raise ValueError("matrix entries must be finite")
-    return DataBlock._trusted(values)
+    return values
 
 
 def read_features(path: str) -> DataBlock:
     """Read a feature matrix, sniffing text versus binary by the magic."""
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
-    if head == MAGIC:
-        return _read_features_binary(path)
-    return _read_features_text(path)
+    values = (_read_features_binary if head == MAGIC else _read_features_text)(path)
+    try:
+        values = _array(values, (None, None), "matrix entries")
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return DataBlock._trusted(values)
 
 
 # Stands in a document for a matrix that _write_json writes row by row.

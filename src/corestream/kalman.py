@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _finite, _wrap
+from .blocks import _array, _finite, _wrap
 
 STATE_DIM = 4
 OBS_DIM = 2
@@ -38,17 +38,12 @@ _H = _I4[:OBS_DIM].copy()
 
 def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
     """A read-only copy of m, checked to be a finite symmetric PSD size x size matrix."""
-    m = np.array(m, dtype=float)
-    if m.shape != (size, size):
-        raise ValueError(f"{name} must be {size}x{size}, got {m.shape}")
-    if not _finite(m):
-        raise ValueError(f"{name} entries must be finite")
+    m = _array(m, (size, size), f"{name} entries", copy=True)
     # Halving first keeps entries near the float limit from overflowing.
     half = m / 2.0
     if float(np.max(np.abs(half - half.T))) > _SYM_TOL / 2.0:
         raise ValueError(f"{name} must be symmetric within {_SYM_TOL}")
     _check_psd(half + half.T, name)
-    m.setflags(write=False)
     return m
 
 
@@ -71,15 +66,8 @@ class KalmanState:
     P: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.array(self.x, dtype=float)
-        if x.shape != (STATE_DIM,):
-            raise ValueError(f"state mean must have shape ({STATE_DIM},), got {x.shape}")
-        if not _finite(x):
-            raise ValueError("state mean must be finite")
-        p = _check_covariance(self.P, STATE_DIM, "state covariance")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", p)
+        object.__setattr__(self, "x", _array(self.x, (STATE_DIM,), "state mean", copy=True))
+        object.__setattr__(self, "P", _check_covariance(self.P, STATE_DIM, "state covariance"))
 
     @classmethod
     def _trusted(cls, x: np.ndarray, p: np.ndarray) -> "KalmanState":
@@ -104,10 +92,8 @@ class NoiseParams:
     R: np.ndarray
 
     def __post_init__(self) -> None:
-        q = _check_covariance(self.Q, STATE_DIM, "process covariance")
-        r = _check_covariance(self.R, OBS_DIM, "measurement covariance")
-        object.__setattr__(self, "Q", q)
-        object.__setattr__(self, "R", r)
+        object.__setattr__(self, "Q", _check_covariance(self.Q, STATE_DIM, "process covariance"))
+        object.__setattr__(self, "R", _check_covariance(self.R, OBS_DIM, "measurement covariance"))
 
     @staticmethod
     def default() -> "NoiseParams":
@@ -133,11 +119,7 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
     H x, H P H^T and H P^T are slices, exactly equal since H selects the
     position.  As R shrinks toward zero the position approaches z.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (OBS_DIM,):
-        raise ValueError(f"observation must have shape ({OBS_DIM},), got {z.shape}")
-    if not _finite(z):
-        raise ValueError("observation must be finite")
+    z = _array(z, (OBS_DIM,), "observation")
     s = state.P[:OBS_DIM, :OBS_DIM] + noise.R
     gain = np.linalg.solve(s.T, state.P.T[:OBS_DIM]).T
     x = state.x + gain @ (z - state.x[:OBS_DIM])
@@ -267,13 +249,9 @@ def em_fit(centers: np.ndarray, iterations: int = 20) -> tuple[NoiseParams, list
     Returns the fit and the log-likelihood before each sweep: one entry
     per iteration, non-decreasing up to the covariance floor.
     """
-    zs = np.asarray(centers, dtype=float)
-    if zs.ndim != 2 or zs.shape[1] != OBS_DIM:
-        raise ValueError(f"centers must be shaped (t, {OBS_DIM}), got {zs.shape}")
+    zs = _array(centers, (None, OBS_DIM), "centers")
     if zs.shape[0] < 4:
         raise ValueError(f"need at least 4 centers, got {zs.shape[0]}")
-    if not _finite(zs):
-        raise ValueError("centers must be finite")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     mu0, p0, q, r = _initial_guesses(zs)

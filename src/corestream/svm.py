@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import _check_fields, _finite
+from .blocks import _array, _check_fields
 from .sampling import SampleSet
 
 # A step is halved at most this many times before being rejected.
@@ -39,13 +39,7 @@ class LinearModel:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        w = np.array(self.w, dtype=float)
-        if w.ndim != 1:
-            raise ValueError(f"weights must be a vector, got ndim={w.ndim}")
-        if not _finite(w):
-            raise ValueError("model parameters must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _array(self.w, (None,), "weights", copy=True))
 
     @property
     def dim(self) -> int:
@@ -81,10 +75,7 @@ class TrainParams:
 
 def decisions(model: LinearModel, rows: np.ndarray) -> np.ndarray:
     """Score a stack of feature vectors at once."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != model.dim:
-        raise ValueError(f"expected rows of width {model.dim}, got shape {rows.shape}")
-    return rows @ model.w + model.b
+    return _array(rows, (None, model.dim), "rows") @ model.w + model.b
 
 
 def one_class_objective(w: np.ndarray, rows: np.ndarray, reg: float) -> float | np.ndarray:

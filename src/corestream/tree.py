@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CoresetBlock, DataBlock, _check_fields, _finite, _wrap, concat_blocks, svd_truncate
+from .blocks import CoresetBlock, DataBlock, _array, _check_fields, _wrap, concat_blocks, svd_truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +74,10 @@ class TreeView(_Counters):
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        pending = np.array(self.pending, dtype=float)
-        if not _finite(pending):
-            raise ValueError("pending rows must be finite")
-        pending.setflags(write=False)
-        object.__setattr__(self, "pending", pending)
         if self.n < 1 or self.dim < 1:
             raise ValueError(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
+        pending = _array(self.pending, (None, self.dim), "pending rows", copy=True)
+        object.__setattr__(self, "pending", pending)
         levels = [node.level for node in self.nodes]
         for lower, upper in zip(levels, levels[1:]):
             if upper >= lower:
@@ -104,8 +101,6 @@ class TreeView(_Counters):
                 raise ValueError("node summary exceeds the row budget")
             if node.summary.source_rows != last - first:
                 raise ValueError("node source_rows disagrees with its span")
-        if pending.ndim != 2 or pending.shape[1] != self.dim:
-            raise ValueError(f"pending has shape {pending.shape}, expected (p, {self.dim})")
         if pending.shape[0] >= self.n:
             raise ValueError("pending buffer must stay below one leaf")
         if self.leaves_seen * self.n != covered:
@@ -178,12 +173,7 @@ class CoresetTree(_Counters):
 
     def push_point(self, row: np.ndarray) -> MergeReport:
         """Append one stream row, forming and merging leaves as needed."""
-        row = np.asarray(row, dtype=float)
-        if row.shape != (self.dim,):
-            raise ValueError(f"expected a row of shape ({self.dim},), got {row.shape}")
-        if not _finite(row):
-            raise ValueError("row entries must be finite")
-        return self._push(row[None])
+        return self._push(_array(row, (self.dim,), "row entries")[None])
 
     def push_rows(self, rows: np.ndarray) -> int:
         """Append rows in stream order; return the number of leaves formed.
@@ -192,11 +182,7 @@ class CoresetTree(_Counters):
         whole batch is checked before any row goes in, and the lock is
         held for one leaf at a time, so snapshot() waits at most one cascade.
         """
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise ValueError(f"expected rows of shape (k, {self.dim}), got {rows.shape}")
-        if not _finite(rows):
-            raise ValueError("row entries must be finite")
+        rows = _array(rows, (None, self.dim), "row entries")
         leaves = start = 0
         while start < rows.shape[0]:
             stop = start + self.n - self._fill

@@ -2,8 +2,10 @@
 
 import ast
 import math
+import struct
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +17,25 @@ from corestream import (
     CoresetTree,
     DataBlock,
     DetectParams,
+    KalmanState,
     LinearModel,
+    NoiseParams,
     SyntheticStreamConfig,
     TrackerParams,
     TrainParams,
+    TreeView,
     concat_blocks,
+    decisions,
     dist_sq,
+    em_fit,
+    kalman_update,
     measure_epsilon,
     random_orthonormal,
     reduce_block,
     svd_truncate,
 )
-from corestream import blocks
+from corestream import blocks, io
+from corestream.io import FormatError
 
 
 def known_spectrum(rows: int, dim: int, spectrum, seed: int) -> np.ndarray:
@@ -95,6 +104,14 @@ def test_dist_sq_input_validation():
         dist_sq(block, np.ones((2, 1)))
     with pytest.raises(ValueError):
         dist_sq(block, np.ones((3, 2)))  # not orthonormal
+
+
+def test_dist_sq_refuses_a_non_finite_query_matrix():
+    # The orthonormality test alone lets NaN through: dev > tol is False for NaN.
+    block = DataBlock(np.ones((3, 2)))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^query matrix must be finite$"):
+            dist_sq(block, np.array([[value], [0.0]]))
 
 
 def test_random_orthonormal_is_orthonormal_and_deterministic():
@@ -357,6 +374,102 @@ def test_every_array_finite_check_uses_the_helper():
         and (isfinite_call(node.func.value) or any(map(isfinite_call, node.args)))
     ]
     assert offenders == []
+
+
+def test_only_the_array_helper_and_overflow_checks_call_finite():
+    # blocks._array is the one shape and finite check on array arguments;
+    # _finite is left to it and to the checks on results the library
+    # computes itself, so a new boundary cannot start a second idiom.
+    def callers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_finite":
+                yield scope
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            yield from callers(child, f"{scope}.{child.name}" if named else scope)
+
+    found = {
+        scope
+        for path in sorted(Path(blocks.__file__).parent.glob("*.py"))
+        for scope in callers(ast.parse(path.read_text()), path.stem)
+    }
+    assert found == {
+        "blocks._array",
+        "blocks._gram_spectrum",
+        "blocks.svd_truncate",
+        "kalman.KalmanState._trusted",
+    }
+
+
+def test_the_array_helper_copies_only_when_asked():
+    rows = np.ones((2, 3))
+    assert blocks._array(rows, (None, 3), "rows") is rows
+    kept = blocks._array(rows, (None, 3), "rows", copy=True)
+    assert kept is not rows and not kept.flags.writeable and rows.flags.writeable
+    with pytest.raises(ValueError, match=r"^rows must be shaped \(\*, 2\), got \(2, 3\)$"):
+        blocks._array(rows, (None, 2), "rows")
+    with pytest.raises(ValueError, match=r"^row must be shaped \(3,\), got \(2, 3\)$"):
+        blocks._array(rows, (3,), "row")
+
+
+def _read_text(tmp_path, values):
+    path = tmp_path / "f.txt"
+    rows = "".join(" ".join(map(repr, row)) + "\n" for row in values.tolist())
+    path.write_text("dim=2 rows=2\n" + rows)
+    return io.read_features(str(path))
+
+
+def _read_binary(tmp_path, values):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"CSTK" + struct.pack("<IQI", 1, 2, 2) + values.astype("<f8").tobytes())
+    return io.read_features(str(path))
+
+
+@pytest.mark.parametrize(
+    "call, good, wrong",
+    [
+        pytest.param(DataBlock, np.ones((3, 2)), np.ones(3), id="DataBlock"),
+        pytest.param(lambda y: dist_sq(DataBlock(np.ones((3, 2))), y),
+                     np.eye(2)[:, :1], np.eye(3)[:, :1], id="dist_sq"),
+        pytest.param(_read_text, np.ones((2, 2)), np.ones((2, 3)), id="read_features-text"),
+        pytest.param(_read_binary, np.ones((2, 2)), np.ones((2, 3)), id="read_features-binary"),
+        pytest.param(lambda p: TreeView(n=2, dim=3, nodes=(), pending=p, leaves_seen=0),
+                     np.ones((1, 3)), np.ones((1, 2)), id="TreeView-pending"),
+        pytest.param(lambda r: CoresetTree(4, 3).push_point(r),
+                     np.ones(3), np.ones((1, 3)), id="push_point"),
+        pytest.param(lambda r: CoresetTree(4, 3).push_rows(r),
+                     np.ones((5, 3)), np.ones(3), id="push_rows"),
+        pytest.param(lambda w: LinearModel(w=w, b=0.0, threshold=0.0),
+                     np.ones(3), np.ones((1, 3)), id="LinearModel-w"),
+        pytest.param(lambda r: decisions(LinearModel(w=np.ones(3), b=0.0, threshold=0.0), r),
+                     np.ones((2, 3)), np.ones((2, 2)), id="decisions"),
+        pytest.param(lambda x: KalmanState(x=x, P=np.eye(4)), np.zeros(4), np.zeros(2),
+                     id="KalmanState-x"),
+        pytest.param(lambda p: KalmanState(x=np.zeros(4), P=p), np.eye(4), np.eye(2),
+                     id="KalmanState-P"),
+        pytest.param(lambda q: NoiseParams(Q=q, R=np.eye(2)), np.eye(4), np.eye(2),
+                     id="NoiseParams-Q"),
+        pytest.param(lambda r: NoiseParams(Q=np.eye(4), R=r), np.eye(2), np.eye(4),
+                     id="NoiseParams-R"),
+        pytest.param(lambda z: kalman_update(KalmanState(np.zeros(4), np.eye(4)), z,
+                                             NoiseParams.default()),
+                     np.zeros(2), np.zeros(4), id="kalman_update"),
+        pytest.param(lambda c: em_fit(c, iterations=1), np.arange(10.0).reshape(5, 2),
+                     np.arange(15.0).reshape(5, 3), id="em_fit"),
+    ],
+)
+def test_every_array_entry_point_refuses_a_wrong_shape_and_a_nan(tmp_path, call, good, wrong):
+    # The readers' files always declare a 2 x 2 matrix, so their wrong
+    # shape is refused by the parser, and a NaN through the one helper.
+    error, shape_message = ValueError, "must be shaped"
+    if call in (_read_text, _read_binary):
+        call, error, shape_message = partial(call, tmp_path), FormatError, "values, got|promises"
+    call(good)
+    with pytest.raises(error, match=shape_message):
+        call(wrong)
+    bad = good.copy()
+    bad.flat[0] = np.nan
+    with pytest.raises(error, match="must be finite"):
+        call(bad)
 
 
 def test_every_scalar_field_check_uses_the_helper():

@@ -161,6 +161,17 @@ def test_binary_reader_holds_the_payload_once(tmp_path):
     assert peak <= 1.25 * block.values.nbytes
 
 
+def test_text_reader_holds_the_payload_once(tmp_path):
+    # One compact buffer of the values, which the returned array wraps, plus
+    # its growth slack and the finite check's mask; rows kept as lists of
+    # Python floats hold about six times the payload.
+    path = str(tmp_path / "f.txt")
+    block = feature_block(2000, 128)
+    io.write_features(path, block)
+    peak = traced_peak(lambda: io.read_features(path))
+    assert peak <= 1.5 * block.values.nbytes
+
+
 def test_binary_writer_copies_no_payload(tmp_path):
     block = feature_block(2000, 128)
     peak = traced_peak(lambda: io.write_features(str(tmp_path / "f.bin"), block, binary=True))
@@ -382,7 +393,7 @@ def test_snapshot_reader_rejects_pending_of_the_wrong_dim(tmp_path):
         assert doc["pending"]
         doc["pending"] = [row + [0.0] for row in doc["pending"]]
 
-    with pytest.raises(FormatError, match="pending has shape"):
+    with pytest.raises(FormatError, match="pending rows must be shaped"):
         io.read_snapshot(tampered_snapshot(tmp_path, tamper))
 
 
@@ -392,7 +403,7 @@ def test_snapshot_reader_rejects_empty_pending_rows(tmp_path, pending):
     def tamper(doc):
         doc["pending"] = pending
 
-    with pytest.raises(FormatError, match="pending has shape"):
+    with pytest.raises(FormatError, match="pending rows must be shaped"):
         io.read_snapshot(tampered_snapshot(tmp_path, tamper))
 
 

@@ -72,6 +72,14 @@ def test_decisions_scores_stacks_and_single_rows():
             decisions(model, bad)
 
 
+def test_decisions_refuses_non_finite_rows():
+    # Scoring a NaN row used to return a NaN score that no threshold refuses.
+    model = LinearModel(w=np.array([2.0, -1.0]), b=0.25, threshold=0.0)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^rows must be finite$"):
+            decisions(model, np.array([[1.0, 1.0], [value, 0.0]]))
+
+
 def test_monotone_descent_on_a_quadratic():
     obj = lambda x: (x[:, 0] - 3.0) ** 2
     grad = lambda x: np.array([2.0 * (x[0] - 3.0)])

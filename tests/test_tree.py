@@ -307,7 +307,7 @@ def _node_with(node, **summary):
         ),
         pytest.param(
             lambda v: dict(pending=np.ones((1, 4))),
-            "pending has shape",
+            "pending rows must be shaped",
             id="pending-shape",
         ),
         pytest.param(
