@@ -7,15 +7,19 @@ model is
     z[t]   = H x[t] + v,       v ~ N(0, R)
 
 with F the constant-velocity transition and H reading out position.
-em_fit learns Q and R from an observed center sequence by expectation
-maximization.  The E-step runs the Kalman filter and RTS smoother as
-parallel-prefix scans in ceil(log2 T) batched levels (Sarkka & Garcia-
-Fernandez, IEEE TAC 2021); the M-step re-estimates both covariances in
-closed form.  The observed-data log-likelihood never decreases.
+kalman_predict and kalman_update run one step on Python floats: predict
+equals the matrix form bit for bit, and update inverts the 2x2
+innovation covariance in closed form.  em_fit learns Q and R from an
+observed center sequence by expectation maximization.  The E-step runs
+the Kalman filter and RTS smoother as parallel-prefix scans in
+ceil(log2 T) batched levels (Sarkka & Garcia-Fernandez, IEEE TAC 2021);
+the M-step re-estimates both covariances in closed form.  The
+observed-data log-likelihood never decreases.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +51,23 @@ def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
     return m
 
 
+def _ldl_accepts(m: list[list[float]]) -> bool:
+    """Whether m, symmetric 4x4 given as rows, has no diagonal entry above 2^13
+    and m + (_SYM_TOL / 2) I positive LDL^T pivots.  Reads the lower triangle."""
+    t = _SYM_TOL / 2.0
+    (a, _, _, _), (b, c, _, _), (d, e, f, _), (g, h, i, j) = m
+    if max(a, c, f, j) > 2.0**13 or not (a := a + t) > 0.0:
+        return False
+    lb, ld, lg = b / a, d / a, g / a
+    if not (c := c + t - lb * b) > 0.0:
+        return False
+    e, h = e - ld * b, h - lg * b
+    if not (f := f + t - ld * d - e / c * e) > 0.0:
+        return False
+    i -= lg * d + h / c * e
+    return j + t - lg * g - h / c * h - i / f * i > 0.0
+
+
 def _check_psd(m: np.ndarray, name: str) -> None:
     eigs = np.linalg.eigvalsh(m)
     if float(eigs[0]) < -_SYM_TOL:
@@ -60,6 +81,13 @@ class KalmanState:
     The constructor checks and copies its input.  The filter's own
     states come from _trusted, which keeps the finite and PSD checks
     but skips the copy and the symmetry check that _sym makes exact.
+    Its PSD check first tries an LDL^T of P + (_SYM_TOL / 2) I on Python
+    floats when no diagonal entry of P exceeds 2^13, and accepts on
+    positive pivots.  There the factorization's backward error is at
+    most about 2e-11, far inside that 5e-10 margin, so eigvalsh accepts
+    such a P too.  Every other P goes to eigvalsh, which words any
+    refusal: the verdict is always eigvalsh's.  The public constructor,
+    which takes any scale, always uses eigvalsh.
     """
 
     x: np.ndarray
@@ -74,7 +102,8 @@ class KalmanState:
         """Wrap a fresh mean and an exactly symmetric covariance."""
         if not (_finite(x) and _finite(p)):
             raise ValueError("state mean and covariance must be finite")
-        _check_psd(p, "state covariance")
+        if not _ldl_accepts(p.tolist()):
+            _check_psd(p, "state covariance")
         x.setflags(write=False)
         p.setflags(write=False)
         return _wrap(cls, x=x, P=p)
@@ -105,27 +134,78 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
+def _sym_flat(m: list[float]) -> np.ndarray:
+    """_sym of the 4x4 matrix whose entries m lists row by row, as an array."""
+    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
+    s01, s02, s03, s12 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m03 + m30) / 2.0, (m12 + m21) / 2.0
+    s13, s23 = (m13 + m31) / 2.0, (m23 + m32) / 2.0
+    d0, d1, d2, d3 = (m00 + m00) / 2.0, (m11 + m11) / 2.0, (m22 + m22) / 2.0, (m33 + m33) / 2.0
+    rows = [d0, s01, s02, s03, s01, d1, s12, s13, s02, s12, d2, s23, s03, s13, s23, d3]
+    return np.array(rows).reshape(STATE_DIM, STATE_DIM)
+
+
 def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
-    """Advance the state one step without an observation."""
-    x = _F @ state.x
-    p = _sym(_F @ state.P @ _F.T + noise.Q)
-    return KalmanState._trusted(x, p)
+    """Advance the state one step without an observation.
+
+    F adds the velocity to the position, so each entry of F x and F P F^T
+    is one or two exact sums.  Written out on Python floats in the order
+    the matrix products take them, the new state is F x and
+    _sym(F P F^T + Q) bit for bit.
+    """
+    px, py, vx, vy = state.x.tolist()
+    p0, p1, (p20, p21, p22, p23), (p30, p31, p32, p33) = state.P.tolist()
+    q = noise.Q.ravel().tolist()
+    # Rows 0 and 1 of F P; (F P) F^T then adds columns 2 and 3 to columns 0 and 1.
+    a0, a1, a2, a3 = p0[0] + p20, p0[1] + p21, p0[2] + p22, p0[3] + p23
+    b0, b1, b2, b3 = p1[0] + p30, p1[1] + p31, p1[2] + p32, p1[3] + p33
+    m = [
+        *(a0 + a2 + q[0], a1 + a3 + q[1], a2 + q[2], a3 + q[3]),
+        *(b0 + b2 + q[4], b1 + b3 + q[5], b2 + q[6], b3 + q[7]),
+        *(p20 + p22 + q[8], p21 + p23 + q[9], p22 + q[10], p23 + q[11]),
+        *(p30 + p32 + q[12], p31 + p33 + q[13], p32 + q[14], p33 + q[15]),
+    ]
+    return KalmanState._trusted(np.array([px + vx, py + vy, vx, vy]), _sym_flat(m))
 
 
 def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> KalmanState:
     """Fold one observed center into a predicted state.
 
-    Uses the Joseph-form update, which stays symmetric PSD under roundoff.
-    H x, H P H^T and H P^T are slices, exactly equal since H selects the
-    position.  As R shrinks toward zero the position approaches z.
+    Runs on Python floats, using that H selects the position.  The gain
+    is P[:, :2] S^-1, with the closed-form inverse of S = P[:2, :2] + R
+    taken as given; a singular S raises LinAlgError, and a det S outside
+    [1e-300, 1e300] is first scaled by an exact power of two.  The
+    covariance is the Joseph form (I - K H) P (I - K H)^T + K R K^T,
+    which stays symmetric PSD under roundoff.  Agrees with the matrix
+    form solved by LAPACK to roundoff.  As R shrinks toward zero the
+    position approaches z.
     """
-    z = _array(z, (OBS_DIM,), "observation")
-    s = state.P[:OBS_DIM, :OBS_DIM] + noise.R
-    gain = np.linalg.solve(s.T, state.P.T[:OBS_DIM]).T
-    x = state.x + gain @ (z - state.x[:OBS_DIM])
-    ikh = _I4 - gain @ _H
-    p = _sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T)
-    return KalmanState._trusted(x, p)
+    z0, z1 = _array(z, (OBS_DIM,), "observation").tolist()
+    (p00, p01, p02, p03), (p10, p11, p12, p13), _, _ = p = state.P.tolist()
+    (r00, r01), (r10, r11) = noise.R.tolist()
+    a, b, c, d = p00 + r00, p01 + r01, p10 + r10, p11 + r11
+    det, scale = a * d - b * c, 1.0
+    if not 1e-300 < abs(det) < 1e300:
+        scale = 2.0 ** -max(math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1], -1023)
+        a, b, c, d = a * scale, b * scale, c * scale, d * scale
+        det = a * d - b * c
+        if det == 0.0 or not math.isfinite(det):  # singular, or S beyond the float limit
+            raise np.linalg.LinAlgError("Singular matrix")
+    w = scale / det
+    # Row i of the gain is (P[i, 0], P[i, 1]) times adj(S) / det S.
+    k = [((u * d - v * c) * w, (v * a - u * b) * w) for u, v, _, _ in p]
+    (k00, k01), (k10, k11), (k20, k21), (k30, k31) = k
+    x = state.x.tolist()
+    dz0, dz1 = z0 - x[0], z1 - x[1]
+    m = []
+    for i, ((w0, w1, w2, w3), (g0, g1)) in enumerate(zip(p, k)):
+        x[i] += g0 * dz0 + g1 * dz1
+        # Row i of A = (I - K H) P, of V = A H^T - K R, and of the Joseph form A - V K^T.
+        a0, a1 = w0 - g0 * p00 - g1 * p10, w1 - g0 * p01 - g1 * p11
+        a2, a3 = w2 - g0 * p02 - g1 * p12, w3 - g0 * p03 - g1 * p13
+        v0, v1 = a0 - (g0 * r00 + g1 * r10), a1 - (g0 * r01 + g1 * r11)
+        m += (a0 - v0 * k00 - v1 * k01, a1 - v0 * k10 - v1 * k11)
+        m += (a2 - v0 * k20 - v1 * k21, a3 - v0 * k30 - v1 * k31)
+    return KalmanState._trusted(np.array(x), _sym_flat(m))
 
 
 def _scan(elements: list[np.ndarray], combine, reverse: bool = False) -> None:

@@ -1,5 +1,7 @@
 """Tests for the constant-velocity filter and its EM noise fitter."""
 
+import ast
+import inspect
 import warnings
 
 import numpy as np
@@ -15,13 +17,16 @@ from corestream import (
     kalman_predict,
     kalman_update,
 )
+from corestream import kalman
 from corestream.kalman import (
+    _SYM_TOL,
     COV_FLOOR,
     _e_step,
     _em_once,
     _initial_guesses,
     _F,
     _H,
+    _ldl_accepts,
     _sym,
 )
 
@@ -222,56 +227,145 @@ def test_public_constructors_copy_the_callers_arrays(build, field, given):
     assert np.array_equal(getattr(built, field), stored)
 
 
+def matrix_predict(state, noise):
+    """The predict step as written with F as a matrix and the public
+    constructor, which re-validates and copies every state."""
+    f, _ = model_matrices()
+    return KalmanState(x=f @ state.x, P=_sym(f @ state.P @ f.T + noise.Q))
+
+
+def matrix_update(state, z, noise):
+    """The Joseph-form update with H as a matrix and the gain from a
+    LAPACK solve, through the public constructor."""
+    _, h = model_matrices()
+    s = h @ state.P @ h.T + noise.R
+    gain = np.linalg.solve(s.T, (h @ state.P.T)).T
+    ikh = np.eye(4) - gain @ h
+    return KalmanState(
+        x=state.x + gain @ (z - h @ state.x),
+        P=_sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T),
+    )
+
+
 def test_filter_states_match_the_validating_constructor_bit_for_bit():
-    # The filter's steps as written with the public constructor, which
-    # re-validates and copies every state.
-    f, h = model_matrices()
-
-    def checked_predict(state, noise):
-        return KalmanState(x=f @ state.x, P=_sym(f @ state.P @ f.T + noise.Q))
-
-    def checked_update(state, z, noise):
-        s = h @ state.P @ h.T + noise.R
-        gain = np.linalg.solve(s.T, (h @ state.P.T)).T
-        ikh = np.eye(4) - gain @ h
-        return KalmanState(
-            x=state.x + gain @ (z - h @ state.x),
-            P=_sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T),
-        )
-
+    # Every entry of F x and F P F^T is one or two exact sums, so predict
+    # on Python floats equals the matrix form bit for bit, from the same
+    # input state at every step of a filtered track.
     _, zs = cv_track(21, seed=12)
     noise, _ = em_fit(zs, iterations=5)
-    fast = slow = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
+    state = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
     for z in zs[1:]:
-        fast, slow = kalman_predict(fast, noise), checked_predict(slow, noise)
-        assert np.array_equal(fast.x, slow.x) and np.array_equal(fast.P, slow.P)
-        fast, slow = kalman_update(fast, z, noise), checked_update(slow, z, noise)
-        assert np.array_equal(fast.x, slow.x) and np.array_equal(fast.P, slow.P)
+        fast, slow = kalman_predict(state, noise), matrix_predict(state, noise)
+        assert fast.x.tobytes() == slow.x.tobytes() and fast.P.tobytes() == slow.P.tobytes()
+        state = kalman_update(fast, z, noise)
 
 
 def test_update_slices_equal_the_read_out_matrix_form_bit_for_bit():
-    # H is a 0/1 selection, so H x, H P H^T and H P^T are slices of x and
-    # P exactly.  Coasting steps (predict only) let P grow between updates.
-    def matrix_update(state, z, noise):
-        s = _H @ state.P @ _H.T + noise.R
-        gain = np.linalg.solve(s.T, (_H @ state.P.T)).T
-        ikh = np.eye(4) - gain @ _H
-        return KalmanState._trusted(
-            state.x + gain @ (z - _H @ state.x),
-            _sym(ikh @ state.P @ ikh.T + gain @ noise.R @ gain.T),
-        )
-
+    # The closed-form 2x2 gain rounds differently from LAPACK's solve, so
+    # the update agrees with the matrix form to roundoff, from the same
+    # predicted state.  Every filter state is one the public constructor
+    # accepts and stores bit for bit.  Coasting steps (predict only) let P
+    # grow between updates.
     _, zs = cv_track(300, seed=31)
     noise, _ = em_fit(zs[:40], iterations=5)
     coast = np.random.default_rng(31).random(300) < 0.25
     assert 50 < coast.sum() < 100
-    fast = slow = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
+    state = KalmanState(x=np.concatenate([zs[0], zs[1] - zs[0]]), P=np.eye(4))
     for z, skip in zip(zs[1:], coast[1:]):
-        fast, slow = kalman_predict(fast, noise), kalman_predict(slow, noise)
+        state = kalman_predict(state, noise)
         if skip:
             continue
-        fast, slow = kalman_update(fast, z, noise), matrix_update(slow, z, noise)
-        assert fast.x.tobytes() == slow.x.tobytes() and fast.P.tobytes() == slow.P.tobytes()
+        fast, slow = kalman_update(state, z, noise), matrix_update(state, z, noise)
+        scale = float(np.max(np.abs(slow.P)))
+        assert np.max(np.abs(fast.P - slow.P)) <= 1e-12 * scale
+        assert np.max(np.abs(fast.x - slow.x)) <= 1e-12 * max(scale, np.max(np.abs(slow.x)))
+        state = fast
+        public = KalmanState(x=state.x, P=state.P)
+        assert public.x.tobytes() == state.x.tobytes() and public.P.tobytes() == state.P.tobytes()
+
+
+def test_update_refuses_a_singular_innovation_covariance_as_lapack_does():
+    # P[:2, :2] + R = 0: the solve raises LinAlgError, and so must the
+    # closed form, with no ZeroDivisionError and no inf or NaN reaching
+    # the finite check (pytest turns a RuntimeWarning into an error).
+    state = KalmanState(x=np.ones(4), P=np.diag([0.0, 0.0, 1.0, 1.0]))
+    noise = NoiseParams(Q=np.eye(4), R=np.zeros((2, 2)))
+    with pytest.raises(np.linalg.LinAlgError):
+        matrix_update(state, np.zeros(2), noise)
+    with pytest.raises(np.linalg.LinAlgError):
+        kalman_update(state, np.zeros(2), noise)
+    # P[:2, :2] + R past the float limit has no finite inverse either.
+    huge = KalmanState(x=np.ones(4), P=1e308 * np.eye(4))
+    with pytest.raises(np.linalg.LinAlgError):
+        kalman_update(huge, np.zeros(2), NoiseParams(Q=np.eye(4), R=1e308 * np.eye(2)))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_update_at_extreme_scales_equals_the_matrix_form(scale):
+    # det S over- or underflows past about 1e154 or below 1e-154; an exact
+    # power-of-two rescale of S keeps the closed form at roundoff there.
+    rng = np.random.default_rng(int(np.log10(scale)) % 97)
+    for _ in range(20):
+        a = rng.standard_normal((4, 4))
+        b = rng.standard_normal((2, 2))
+        state = KalmanState(x=rng.standard_normal(4), P=_sym(scale * (a @ a.T)))
+        noise = NoiseParams(Q=np.eye(4), R=_sym(scale * (b @ b.T)))
+        z = rng.standard_normal(2)
+        fast, slow = kalman_update(state, z, noise), matrix_update(state, z, noise)
+        assert np.max(np.abs(fast.P - slow.P)) <= 1e-12 * np.max(np.abs(slow.P))
+        assert np.allclose(fast.x, slow.x, rtol=1e-9, atol=1e-12)
+
+
+def psd_probes(seed, count):
+    """Seeded symmetric 4x4 matrices with a chosen smallest eigenvalue
+    near the PSD tolerance, of scales on both sides of the fast accept's
+    2^13 diagonal bound: full rank, rank-deficient and indefinite."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 4e3, 8e3, 1.2e4, 1e6, 1e8):
+            basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            for low in (-10.0, -2.0, -1.001, -1.0, -0.999, -0.5, 0.0, 1.0):
+                rest = scale * rng.random(3)
+                for kind in ("full", "rank-deficient", "indefinite"):
+                    if kind == "rank-deficient":
+                        rest[0] = 0.0
+                    elif kind == "indefinite":
+                        rest[0] = -scale * rng.random()
+                    eigs = np.concatenate([[low * _SYM_TOL], rest])
+                    yield _sym(basis @ np.diag(eigs) @ basis.T)
+
+
+def test_the_filter_psd_check_gives_the_verdict_of_eigvalsh():
+    verdicts = {"refused": 0, "LDL^T": 0, "eigvalsh": 0}
+    for p in psd_probes(seed=44, count=20):
+        low = np.linalg.eigvalsh(p)[0]
+        if low < -_SYM_TOL:
+            verdicts["refused"] += 1
+            message = f"state covariance must be positive semidefinite, min eig {low:.3e}"
+            with pytest.raises(ValueError) as caught:
+                KalmanState._trusted(np.zeros(4), p.copy())
+            assert str(caught.value) == message
+        else:
+            KalmanState._trusted(np.zeros(4), p.copy())
+            verdicts["LDL^T" if _ldl_accepts(p.tolist()) else "eigvalsh"] += 1
+    # Refusals, fast accepts and accepts left to eigvalsh all occur.
+    assert min(verdicts.values()) > 500, verdicts
+
+
+def test_the_per_frame_steps_call_no_lapack():
+    # The filter's steps stay on Python floats; only LinAlgError, for a
+    # singular innovation covariance, is taken from np.linalg.
+    tree = ast.parse(inspect.getsource(kalman))
+    used = {
+        node.name: {
+            sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and ast.unparse(sub.value) in ("np.linalg", "numpy.linalg")
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("kalman_predict", "kalman_update")
+    }
+    assert used == {"kalman_predict": set(), "kalman_update": {"LinAlgError"}}
 
 
 def test_em_fit_input_validation():

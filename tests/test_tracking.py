@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_kalman import looped_e_step, looped_m_step
+from test_kalman import looped_e_step, looped_m_step, matrix_predict, matrix_update
 
 from corestream import (
     CoresetTree,
@@ -500,6 +500,45 @@ def test_drift_tracks_match_a_looped_em(monkeypatch):
             )
             assert repr(got.score) == repr(want.score)
             assert np.allclose(got.estimate, want.estimate, rtol=0.0, atol=1e-8)
+
+
+def test_drift_tracks_match_the_matrix_form_filter(monkeypatch):
+    # The per-frame filter steps run on Python floats with a closed-form
+    # gain; with the matrix-form steps (LAPACK solve, public constructor)
+    # in their place, every track decision on the bundled drift streams
+    # must match and estimates agree to roundoff.
+    streams = []
+    for seed in range(6):
+        config = replace(io.read_stream_config("drift_stream"), seed=seed)
+        streams.append((config, generate_stream(config)))
+
+    def run_all():
+        return [
+            track_stream(
+                frames,
+                config,
+                tracker=TrackerParams(n=16, em_every=2),
+                train_params=TrainParams(iterations=120),
+                detect_params=DetectParams(threshold=threshold),
+            )
+            for config, frames in streams
+            for threshold in (0.0, None)
+        ]
+
+    runs = run_all()
+    monkeypatch.setattr(tracking, "kalman_predict", matrix_predict)
+    monkeypatch.setattr(tracking, "kalman_update", matrix_update)
+    reference = run_all()
+    for run, ref in zip(runs, reference):
+        assert len(run.records) == len(ref.records)
+        for got, want in zip(run.records, ref.records):
+            assert (got.chosen, got.correct, got.model_points) == (
+                want.chosen,
+                want.correct,
+                want.model_points,
+            )
+            assert repr(got.score) == repr(want.score)
+            assert np.allclose(got.estimate, want.estimate, rtol=0.0, atol=1e-9)
 
 
 def test_loop_decisions_equal_those_of_the_row_mean_model(monkeypatch):
