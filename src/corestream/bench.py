@@ -1,20 +1,13 @@
-"""Benchmark harnesses: push cost, stack size and training-time scaling.
-
-These drive the library the way the CLI benchmark command does and are
-also used directly by the verification suite.  Workloads are seeded and
-synthetic so results are reproducible up to wall-clock jitter.
+"""The paired sampler comparison behind ``compare-sampling``: every
+sampler mode runs on the same seeded streams.  Timings live in
+``perfbench/``.
 """
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-import numpy as np
-
-from .sampling import hierarchical_sample, random_sample
-from .svm import TrainParams, train_one_class
+from .svm import TrainParams
 from .tracking import (
     DetectParams,
     SAMPLER_MODES,
@@ -23,83 +16,6 @@ from .tracking import (
     generate_stream,
     track_stream,
 )
-from .tree import CoresetTree
-
-
-@dataclass(frozen=True)
-class StreamBenchRow:
-    """Tree behavior at one stream length; fields in CSV column order."""
-
-    points: int
-    leaves: int
-    merges: int
-    mean_merges_per_push: float
-    amortized_push_seconds: float
-    max_live_nodes: int
-    live_bound: int
-
-
-@dataclass(frozen=True)
-class SvmBenchRow:
-    """Training cost at one stream length: bounded sample vs all rows;
-    fields in CSV column order."""
-
-    points: int
-    sample_rows: int
-    sample_train_seconds: float
-    full_train_seconds: float
-
-
-def stream_bench(points: int, n: int, dim: int, seed: int) -> StreamBenchRow:
-    """Build a tree over one stream length and summarize its counters.
-
-    Only the batched push is timed; the rows are generated before the
-    clock starts.
-    """
-    rows = np.random.default_rng(seed).standard_normal((points, dim))
-    tree = CoresetTree(n, dim)
-    start = time.perf_counter()
-    tree.push_rows(rows)
-    elapsed = time.perf_counter() - start
-    ratio = max(points / n, 1.0)
-    return StreamBenchRow(
-        points=points,
-        leaves=tree.leaves_seen,
-        merges=tree.merge_count,
-        max_live_nodes=tree.max_live_nodes,
-        mean_merges_per_push=tree.merge_count / points if points else 0.0,
-        amortized_push_seconds=elapsed / points if points else 0.0,
-        live_bound=int(math.floor(math.log2(ratio))) + 1,
-    )
-
-
-def svm_time_bench(
-    points: int, n: int, dim: int, seed: int, train_params: TrainParams
-) -> SvmBenchRow:
-    """Compare training on a bounded tree sample against all rows.
-
-    The bounded sample never exceeds 2n rows regardless of the stream
-    length, so its training time should stay flat while full-data
-    training grows with the stream.
-    """
-    rows = np.random.default_rng(seed).standard_normal((points, dim))
-    tree = CoresetTree(n, dim)
-    tree.push_rows(rows)
-    sample = hierarchical_sample(tree.snapshot())
-    start = time.perf_counter()
-    train_one_class(sample, train_params)
-    sample_seconds = time.perf_counter() - start
-
-    everything = random_sample(rows, points, seed)
-    start = time.perf_counter()
-    train_one_class(everything, train_params)
-    full_seconds = time.perf_counter() - start
-    return SvmBenchRow(
-        points=points,
-        sample_rows=sample.rows.rows,
-        sample_train_seconds=sample_seconds,
-        full_train_seconds=full_seconds,
-    )
 
 
 def compare_samplers(
@@ -117,6 +33,7 @@ def compare_samplers(
     with the final success rate.
     """
     base_tracker = tracker or TrackerParams()
+    trackers = {n: replace(base_tracker, n=n) for n in n_values}  # checks every n first
     rows: list[dict] = []
     for n in n_values:
         for seed in seeds:
@@ -126,7 +43,7 @@ def compare_samplers(
                 run = track_stream(
                     frames,
                     cfg,
-                    tracker=replace(base_tracker, n=n, sampler=mode),
+                    tracker=replace(trackers[n], sampler=mode),
                     train_params=train_params,
                     detect_params=detect_params,
                 )

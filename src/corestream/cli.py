@@ -1,11 +1,11 @@
 """Command line front end.
 
-Subcommands: reduce, tree-build, sample, track, bench,
-compare-sampling.  Exit status 0 on success, 2 on usage or input
-validation problems, 1 on internal errors.  Every command is
-deterministic given an explicit --seed; commands that draw randomness
-print the effective seed they used.  This module opens no file itself:
-every read and write, config lookup included, goes through io.
+Subcommands: reduce, tree-build, sample, track, compare-sampling.
+Exit status 0 on success, 2 on usage or input validation problems, 1
+on internal errors.  Every command is deterministic given an explicit
+--seed; commands that draw randomness print the effective seed they
+used.  This module opens no file itself: every read and write, config
+lookup included, goes through io.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 import secrets
 import sys
 import time
-from dataclasses import astuple, fields, replace
+from dataclasses import replace
 
 from . import bench, io
 from .blocks import measure_epsilon, reduce_block
@@ -70,8 +70,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     seed = _effective_seed(args.seed)
-    print(f"seed: {seed}")
     summary = reduce_block(block, args.n)
+    print(f"seed: {seed}")
     io.write_coreset(args.out, summary)
     eps = measure_epsilon(block, summary, args.epsilon_k, trials=args.trials, seed=seed)
     print(f"rows: {summary.block.rows}")
@@ -132,34 +132,21 @@ def cmd_track(args: argparse.Namespace) -> int:
     config = io.read_stream_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    print(f"seed: {config.seed}")
-    frames = generate_stream(config)
     tracker = TrackerParams(n=args.n, sampler=args.sampler, em_every=args.em_every)
+    train_params = _train_params(args)
+    detect_params = DetectParams(threshold=args.threshold)
+    print(f"seed: {config.seed}")
     run = track_stream(
-        frames,
+        generate_stream(config),
         config,
         tracker=tracker,
-        train_params=_train_params(args),
-        detect_params=DetectParams(threshold=args.threshold),
+        train_params=train_params,
+        detect_params=detect_params,
     )
     io.write_track_run(args.out, run)
     print(f"frames: {len(run.records)}")
     print(f"bootstrap_frames: {run.bootstrap_frames}")
     print(f"success_rate: {run.success_rate:.3f}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    grid = _int_list(args.grid, "--grid")
-    seed = _effective_seed(args.seed)
-    print(f"seed: {seed}")
-    if args.mode == "time":
-        rows = [bench.stream_bench(points, args.n, args.dim, seed) for points in grid]
-    else:
-        params = _train_params(args)
-        rows = [bench.svm_time_bench(points, args.n, args.dim, seed, params) for points in grid]
-    io.write_table(args.out, [field.name for field in fields(rows[0])], map(astuple, rows))
-    print(f"rows: {len(grid)}")
     return 0
 
 
@@ -185,15 +172,14 @@ def cmd_compare_sampling(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corestream",
-        description="Streaming coreset tree: reduce, build, sample, track, bench.",
+        description="Streaming coreset tree: reduce, build, sample, track, compare samplers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Solver knobs of bench, track and compare-sampling; defaults are the library's.
-    train = argparse.ArgumentParser(add_help=False)
-    train.add_argument("--nu", type=float, default=TrainParams.nu)
-    train.add_argument("--reg", type=float, default=TrainParams.regularization)
-    train.add_argument("--iters", type=int, default=TrainParams.iterations)
-    loop = argparse.ArgumentParser(add_help=False, parents=[train])
+    # Tracking-loop knobs of track and compare-sampling; defaults are the library's.
+    loop = argparse.ArgumentParser(add_help=False)
+    loop.add_argument("--nu", type=float, default=TrainParams.nu)
+    loop.add_argument("--reg", type=float, default=TrainParams.regularization)
+    loop.add_argument("--iters", type=int, default=TrainParams.iterations)
     loop.add_argument("--threshold", type=float, default=DetectParams.threshold)
     loop.add_argument("--em-every", type=int, default=TrackerParams.em_every)
 
@@ -226,14 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", default=TrackerParams.sampler, choices=SAMPLER_MODES)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--out", required=True, help="per-frame track table CSV")
-
-    p = sub.add_parser("bench", help="benchmark ingest or training over a grid", parents=[train])
-    p.add_argument("--mode", required=True, choices=("time", "svm-time"))
-    p.add_argument("--grid", required=True, help="comma-separated stream lengths")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="results CSV")
 
     p = sub.add_parser(
         "compare-sampling", help="paired sampler comparison on identical streams", parents=[loop]

@@ -1,5 +1,5 @@
 """File formats: feature matrices, summary blocks, tree snapshots,
-stream configs, and the telemetry, sample, track, bench and comparison
+stream configs, and the telemetry, sample, track and comparison
 tables.  Every file the package reads or writes is opened here; cli.py
 leaves every file to this module.
 

@@ -4,7 +4,6 @@ import csv
 import json
 import subprocess
 import sys
-from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -368,72 +367,33 @@ def test_track_missing_config_is_a_usage_error(tmp_path):
     assert "no config" in result.stderr
 
 
-def test_bench_time_mode_writes_grid_rows(tmp_path):
-    out = tmp_path / "bench.csv"
-    result = run_cli(
-        "bench", "--mode", "time", "--grid", "64,128", "--n", "8", "--dim", "4",
-        "--seed", "0", "--out", str(out),
-    )
-    assert result.returncode == 0, result.stderr
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("points,leaves,merges")
-    first = lines[1].split(",")
-    assert first[0] == "64"
-    assert int(first[1]) == 64 // 8
-
-
-def test_bench_svm_time_mode(tmp_path):
-    out = tmp_path / "bench.csv"
-    result = run_cli(
-        "bench", "--mode", "svm-time", "--grid", "128,256", "--n", "8", "--dim", "4",
-        "--iters", "20", "--seed", "0", "--out", str(out),
-    )
-    assert result.returncode == 0, result.stderr
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "points,sample_rows,sample_train_seconds,full_train_seconds"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        assert int(line.split(",")[1]) <= 16
-
-
-def test_bench_refuses_the_retired_space_mode(tmp_path):
-    # time writes both push cost and live-node counts, so space is gone.
-    result = run_cli("bench", "--mode", "space", "--grid", "8", "--out", str(tmp_path / "o"))
+def test_the_retired_bench_command_is_refused(tmp_path):
+    # Timings live in perfbench/; the CLI has no benchmark command.
+    result = run_cli("bench", "--mode", "time", "--grid", "8", "--out", str(tmp_path / "o"))
     assert result.returncode == 2
-    assert "--mode: invalid choice" in result.stderr
-    assert "time, svm-time" in result.stderr.replace("'", "")
+    assert "invalid choice: 'bench'" in result.stderr
     assert result.stdout == ""
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["track", "compare-sampling", "bench"])
+@pytest.mark.parametrize("command", ["track", "compare-sampling"])
 def test_option_defaults_are_the_library_defaults(command):
     # Parse only: the CLI states no default of its own for a library knob.
     required = {
         "track": ["--config", "c", "--out", "o"],
         "compare-sampling": ["--config", "c", "--n-list", "8", "--seeds", "0", "--out", "o"],
-        "bench": ["--mode", "time", "--grid", "8", "--out", "o"],
     }[command]
     args = cli.build_parser().parse_args([command, *required])
     expected = {
         "nu": TrainParams().nu,
         "reg": TrainParams().regularization,
         "iters": TrainParams().iterations,
+        "threshold": DetectParams().threshold,
+        "em_every": TrackerParams().em_every,
     }
-    if command != "bench":
-        expected |= {"threshold": DetectParams().threshold, "em_every": TrackerParams().em_every}
     if command == "track":
         expected |= {"n": TrackerParams().n, "sampler": TrackerParams().sampler}
     assert {key: getattr(args, key) for key in expected} == expected
-
-
-def test_bench_rejects_bad_grid(tmp_path):
-    result = run_cli(
-        "bench", "--mode", "time", "--grid", "12,frog", "--out", str(tmp_path / "o")
-    )
-    assert result.returncode == 2
-    assert "--grid" in result.stderr
 
 
 def test_compare_sampling_covers_every_cell(tmp_path):
@@ -466,22 +426,30 @@ def test_compare_sampling_covers_every_cell(tmp_path):
     ] == [(row["n"], row["seed"], row["mode"], row["success"]) for row in expected]
 
 
-def test_bench_space_rows_equal_the_library_rows(tmp_path):
-    out = tmp_path / "bench.csv"
-    result = run_cli(
-        "bench", "--mode", "time", "--grid", "64,200", "--n", "8", "--dim", "4",
-        "--seed", "3", "--out", str(out),
-    )
-    assert result.returncode == 0, result.stderr
-    with open(out, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == [field.name for field in fields(bench.StreamBenchRow)]
-    wall_clock = header.index("amortized_push_seconds")
-    assert len(rows) == 2
-    for points, row in zip((64, 200), rows):
-        expected = [str(value) for value in astuple(bench.stream_bench(points, 8, 4, 3))]
-        del row[wall_clock], expected[wall_clock]
-        assert row == expected
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["track", "--config", "drift_stream", "--em-every", "0"],
+        ["track", "--config", "drift_stream", "--n", "1"],
+        ["track", "--config", "drift_stream", "--iters", "0"],
+        ["track", "--config", "drift_stream", "--threshold", "nan"],
+        ["reduce", "--in", "{feat}", "--n", "0", "--seed", "1"],
+        ["compare-sampling", "--config", "drift_stream", "--n-list", "16", "--seeds", "0",
+         "--em-every", "0"],
+        ["compare-sampling", "--config", "drift_stream", "--n-list", "16,1", "--seeds", "0"],
+    ],
+    ids=["track-em-every", "track-n", "track-iters", "track-threshold", "reduce-n",
+         "compare-em-every", "compare-later-n"],
+)
+def test_a_bad_knob_is_refused_before_any_output(tmp_path, args):
+    # Every knob is checked before the seed line and before a stream is built.
+    feat, out = tmp_path / "feat", tmp_path / "o"
+    write_rank2_features(str(feat))
+    result = run_cli(*(arg.format(feat=feat) for arg in args), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -508,18 +476,20 @@ def test_nonfinite_threshold_or_bad_radius_is_a_usage_error(tmp_path, command, f
         (["sample", "--snapshot", "{snap}", "--mode", "root", "--seed", "-1"], "--seed"),
         (["sample", "--snapshot", "{snap}", "--mode", "subsample", "--features", "{feat}",
           "--seed", "-1"], "--seed"),
-        (["bench", "--mode", "time", "--grid", "-5"], "--grid"),
-        (["bench", "--mode", "time", "--grid", "8", "--seed", "-1"], "--seed"),
         (["track", "--config", "drift_stream", "--seed", "-1"], "seed"),
         (["track", "--config", "{config}"], "seed"),
         (["compare-sampling", "--config", "drift_stream", "--n-list", "16", "--seeds", "0,-1"],
          "--seeds"),
         (["compare-sampling", "--config", "drift_stream", "--n-list", "-16", "--seeds", "0"],
          "--n-list"),
+        (["compare-sampling", "--config", "drift_stream", "--n-list", "16", "--seeds", "0,frog"],
+         "--seeds"),
+        (["compare-sampling", "--config", "drift_stream", "--n-list", "16,frog", "--seeds", "0"],
+         "--n-list"),
     ],
     ids=["reduce-seed", "sample-seed", "sample-hierarchical-seed", "sample-root-seed",
-         "sample-subsample-seed", "bench-grid", "bench-seed", "track-seed",
-         "track-config-seed", "compare-seeds", "compare-n-list"],
+         "sample-subsample-seed", "track-seed", "track-config-seed", "compare-seeds",
+         "compare-n-list", "compare-seeds-not-int", "compare-n-list-not-int"],
 )
 def test_negative_seeds_and_list_values_are_refused_before_any_output(tmp_path, args, name):
     paths = {key: str(tmp_path / key) for key in ("feat", "snap", "config")}
@@ -542,9 +512,8 @@ def test_negative_seeds_and_list_values_are_refused_before_any_output(tmp_path, 
          "--seeds", "0"),
         (["compare-sampling", "--config", "drift_stream", "--n-list", "16,8,16", "--seeds", "0"],
          "--n-list", "16"),
-        (["bench", "--mode", "time", "--grid", "8,64,64"], "--grid", "64"),
     ],
-    ids=["compare-seeds", "compare-n-list", "bench-grid"],
+    ids=["compare-seeds", "compare-n-list"],
 )
 def test_repeated_list_entries_are_refused_before_any_output(tmp_path, args, name, value):
     # A repeated seed would run twice, write its rows twice and count

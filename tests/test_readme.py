@@ -34,7 +34,7 @@ def test_every_command_line_parses():
         if line.startswith("corestream ")
     ]
     assert {argv[0] for argv in commands} == {
-        "reduce", "tree-build", "sample", "track", "bench", "compare-sampling"
+        "reduce", "tree-build", "sample", "track", "compare-sampling"
     }
     parser = cli.build_parser()
     for argv in commands:

@@ -1,5 +1,6 @@
 """Tests for the merge-and-reduce stack: counters, spans, collapse."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -19,7 +20,6 @@ from corestream import (
     hierarchical_sample,
     random_orthonormal,
 )
-from corestream import bench
 from corestream.sampling import _tag_run
 
 
@@ -413,12 +413,13 @@ def test_max_live_nodes_tracks_the_transient_peak():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
 def test_peak_live_nodes_never_exceed_the_bench_bound(n):
-    # After L leaves the peak is the bit length of L, which never exceeds
-    # the live_bound = floor(log2(max(points / n, 1))) + 1 that bench
-    # reports beside it, so bench needs no runtime check of its own.
+    # After L leaves of one batched push the peak is the bit length of
+    # L, which never exceeds floor(log2(max(points / n, 1))) + 1.
     for points in [*range(300), 1000, 4095, 4096, 4097]:
-        row = bench.stream_bench(points, n, 1, 0)
-        assert row.max_live_nodes == row.leaves.bit_length() <= row.live_bound, points
+        tree = CoresetTree(n, 1)
+        tree.push_rows(np.random.default_rng(0).standard_normal((points, 1)))
+        bound = math.floor(math.log2(max(points / n, 1))) + 1
+        assert tree.max_live_nodes == tree.leaves_seen.bit_length() <= bound, points
 
 
 def test_tree_memory_does_not_grow_with_the_stream():
