@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import replace
 
-from . import bench, io
+from . import io
 from .blocks import measure_epsilon, reduce_block
 from .svm import TrainParams
 from .tracking import (
@@ -25,8 +25,10 @@ from .tracking import (
     FLAT_MODES,
     SAMPLER_MODES,
     TrackerParams,
+    compare_samplers,
     draw_sample,
     generate_stream,
+    summarize_comparison,
     track_stream,
 )
 from .tree import CoresetTree
@@ -154,7 +156,7 @@ def cmd_compare_sampling(args: argparse.Namespace) -> int:
     config = io.read_stream_config(args.config)
     n_values = _int_list(args.n_list, "--n-list")
     seeds = _int_list(args.seeds, "--seeds")
-    rows = bench.compare_samplers(
+    rows = compare_samplers(
         config,
         n_values,
         seeds,
@@ -163,7 +165,7 @@ def cmd_compare_sampling(args: argparse.Namespace) -> int:
         detect_params=DetectParams(threshold=args.threshold),
     )
     io.write_table(args.out, list(rows[0]), map(dict.values, rows))
-    means = bench.summarize_comparison(rows)
+    means = summarize_comparison(rows)
     for (n, mode), mean in sorted(means.items()):
         print(f"n={n} {mode}: {mean:.3f}")
     return 0

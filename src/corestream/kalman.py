@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _array, _finite, _wrap
+from .blocks import _array, _wrap
 
 STATE_DIM = 4
 OBS_DIM = 2
@@ -51,11 +51,11 @@ def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
     return m
 
 
-def _ldl_accepts(m: list[list[float]]) -> bool:
-    """Whether m, symmetric 4x4 given as rows, has no diagonal entry above 2^13
-    and m + (_SYM_TOL / 2) I positive LDL^T pivots.  Reads the lower triangle."""
+def _ldl_accepts(m: list[float]) -> bool:
+    """Whether the symmetric 4x4 m (16 entries, row by row) has no diagonal entry
+    above 2^13 and m + (_SYM_TOL / 2) I positive LDL^T pivots; reads the lower triangle."""
     t = _SYM_TOL / 2.0
-    (a, _, _, _), (b, c, _, _), (d, e, f, _), (g, h, i, j) = m
+    a, _, _, _, b, c, _, _, d, e, f, _, g, h, i, j = m
     if max(a, c, f, j) > 2.0**13 or not (a := a + t) > 0.0:
         return False
     lb, ld, lg = b / a, d / a, g / a
@@ -79,8 +79,9 @@ class KalmanState:
     """Filter state: mean x = (px, py, vx, vy) and covariance P.
 
     The constructor checks and copies its input.  The filter's own
-    states come from _trusted, which keeps the finite and PSD checks
-    but skips the copy and the symmetry check that _sym makes exact.
+    states come from _trusted, which takes Python floats and makes P
+    exactly symmetric itself, so it keeps the finite and PSD checks
+    but skips the copy and the symmetry check.
     Its PSD check first tries an LDL^T of P + (_SYM_TOL / 2) I on Python
     floats when no diagonal entry of P exceeds 2^13, and accepts on
     positive pivots.  There the factorization's backward error is at
@@ -98,15 +99,22 @@ class KalmanState:
         object.__setattr__(self, "P", _check_covariance(self.P, STATE_DIM, "state covariance"))
 
     @classmethod
-    def _trusted(cls, x: np.ndarray, p: np.ndarray) -> "KalmanState":
-        """Wrap a fresh mean and an exactly symmetric covariance."""
-        if not (_finite(x) and _finite(p)):
+    def _trusted(cls, x: list[float], m: list[float]) -> "KalmanState":
+        """The state with mean x and covariance _sym(M), for the 4x4 matrix M
+        whose 16 entries m lists row by row."""
+        m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
+        s01, s02, s03 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m03 + m30) / 2.0
+        s12, s13, s23 = (m12 + m21) / 2.0, (m13 + m31) / 2.0, (m23 + m32) / 2.0
+        d0, d1, d2, d3 = (m00 + m00) / 2.0, (m11 + m11) / 2.0, (m22 + m22) / 2.0, (m33 + m33) / 2.0
+        p = [d0, s01, s02, s03, s01, d1, s12, s13, s02, s12, d2, s23, s03, s13, s23, d3]
+        if not all(map(math.isfinite, x + p)):
             raise ValueError("state mean and covariance must be finite")
-        if not _ldl_accepts(p.tolist()):
-            _check_psd(p, "state covariance")
-        x.setflags(write=False)
-        p.setflags(write=False)
-        return _wrap(cls, x=x, P=p)
+        mean, cov = np.array(x), np.array(p).reshape(STATE_DIM, STATE_DIM)
+        if not _ldl_accepts(p):
+            _check_psd(cov, "state covariance")
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        return _wrap(cls, x=mean, P=cov)
 
     @property
     def position(self) -> np.ndarray:
@@ -134,16 +142,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def _sym_flat(m: list[float]) -> np.ndarray:
-    """_sym of the 4x4 matrix whose entries m lists row by row, as an array."""
-    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
-    s01, s02, s03, s12 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m03 + m30) / 2.0, (m12 + m21) / 2.0
-    s13, s23 = (m13 + m31) / 2.0, (m23 + m32) / 2.0
-    d0, d1, d2, d3 = (m00 + m00) / 2.0, (m11 + m11) / 2.0, (m22 + m22) / 2.0, (m33 + m33) / 2.0
-    rows = [d0, s01, s02, s03, s01, d1, s12, s13, s02, s12, d2, s23, s03, s13, s23, d3]
-    return np.array(rows).reshape(STATE_DIM, STATE_DIM)
-
-
 def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
     """Advance the state one step without an observation.
 
@@ -164,7 +162,7 @@ def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
         *(p20 + p22 + q[8], p21 + p23 + q[9], p22 + q[10], p23 + q[11]),
         *(p30 + p32 + q[12], p31 + p33 + q[13], p32 + q[14], p33 + q[15]),
     ]
-    return KalmanState._trusted(np.array([px + vx, py + vy, vx, vy]), _sym_flat(m))
+    return KalmanState._trusted([px + vx, py + vy, vx, vy], m)
 
 
 def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> KalmanState:
@@ -205,7 +203,7 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
         v0, v1 = a0 - (g0 * r00 + g1 * r10), a1 - (g0 * r01 + g1 * r11)
         m += (a0 - v0 * k00 - v1 * k01, a1 - v0 * k10 - v1 * k11)
         m += (a2 - v0 * k20 - v1 * k21, a3 - v0 * k30 - v1 * k31)
-    return KalmanState._trusted(np.array(x), _sym_flat(m))
+    return KalmanState._trusted(x, m)
 
 
 def _scan(elements: list[np.ndarray], combine, reverse: bool = False) -> None:

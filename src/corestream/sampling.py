@@ -120,6 +120,8 @@ def _flat_sample(history: History, idx: np.ndarray, n: int) -> SampleSet:
     """Sample of the history rows at indices idx, copying only those rows."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    if len(history) == 0:
+        raise ValueError("cannot sample an empty history")
     rows = [history[i] for i in idx]
     tags = tuple(RowTag(level=RAW_LEVEL, row=int(i)) for i in idx)
     return SampleSet(rows=DataBlock(rows), tags=tags, n=n, points_seen=len(history))

@@ -38,7 +38,7 @@ from corestream import (
     train_one_class,
 )
 from corestream import io
-from corestream.bench import compare_samplers, summarize_comparison
+from corestream.tracking import compare_samplers, summarize_comparison
 from corestream.blocks import ENERGY_FLOOR
 from corestream.svm import (
     monotone_descent,

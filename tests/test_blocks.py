@@ -396,7 +396,6 @@ def test_only_the_array_helper_and_overflow_checks_call_finite():
         "blocks._array",
         "blocks._gram_spectrum",
         "blocks.svd_truncate",
-        "kalman.KalmanState._trusted",
     }
 
 

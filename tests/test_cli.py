@@ -16,7 +16,7 @@ from corestream import (
     TrainParams,
     random_orthonormal,
 )
-from corestream import bench, cli, io
+from corestream import cli, io, tracking
 
 # Success rate of the first verified run of the bundled drift-stream
 # config under the canonical flags below.  Guards against silent
@@ -411,7 +411,7 @@ def test_compare_sampling_covers_every_cell(tmp_path):
     for mode in ("hierarchical", "root", "random", "subsample"):
         assert f"n=8 {mode}:" in result.stdout
     # Each cell parses back to the exact float the library returns.
-    expected = bench.compare_samplers(
+    expected = tracking.compare_samplers(
         io.read_stream_config(str(cfg)),
         [8],
         [0, 1],

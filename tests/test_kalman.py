@@ -169,21 +169,31 @@ def test_entries_near_the_float_limit_are_accepted_without_a_warning():
 
 def test_filter_states_keep_the_finite_and_psd_checks():
     with pytest.raises(ValueError, match="finite"):
-        KalmanState._trusted(np.array([0.0, np.nan, 0.0, 0.0]), np.eye(4))
+        KalmanState._trusted([0.0, np.nan, 0.0, 0.0], np.eye(4).ravel().tolist())
     with pytest.raises(ValueError, match="positive semidefinite"):
-        KalmanState._trusted(np.zeros(4), -np.eye(4))
-    # 1e308 * I is a valid covariance; here the filter's own constructor
-    # builds it, and 8e307 with position-velocity correlation goes
-    # through the public checks.  Either way predict's f P f^T overflows.
+        KalmanState._trusted(np.zeros(4).tolist(), (-np.eye(4)).ravel().tolist())
+    # 1e308 * I and 8e307 with position-velocity correlation are valid
+    # covariances, and the public checks accept both.  Either way
+    # predict's f P f^T overflows.
     corr = np.eye(4) + 0.5 * (np.eye(4, k=2) + np.eye(4, k=-2))
     states = [
-        KalmanState._trusted(np.zeros(4), 1e308 * np.eye(4)),
+        KalmanState(x=np.zeros(4), P=1e308 * np.eye(4)),
         KalmanState(x=np.zeros(4), P=8e307 * corr),
     ]
     for state in states:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="finite"):
                 kalman_predict(state, NoiseParams.default())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e5])  # the LDL^T accept, then eigvalsh
+def test_filter_states_store_the_symmetrized_covariance_bit_for_bit(scale):
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((4, 4))
+    m = scale * (a @ a.T + np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
+    assert not np.array_equal(m, m.T)
+    state = KalmanState._trusted(np.zeros(4).tolist(), m.ravel().tolist())
+    assert state.P.tobytes() == _sym(np.reshape(m, (4, 4))).tobytes()
 
 
 def test_filter_states_are_read_only():
@@ -343,11 +353,11 @@ def test_the_filter_psd_check_gives_the_verdict_of_eigvalsh():
             verdicts["refused"] += 1
             message = f"state covariance must be positive semidefinite, min eig {low:.3e}"
             with pytest.raises(ValueError) as caught:
-                KalmanState._trusted(np.zeros(4), p.copy())
+                KalmanState._trusted(np.zeros(4).tolist(), p.ravel().tolist())
             assert str(caught.value) == message
         else:
-            KalmanState._trusted(np.zeros(4), p.copy())
-            verdicts["LDL^T" if _ldl_accepts(p.tolist()) else "eigvalsh"] += 1
+            KalmanState._trusted(np.zeros(4).tolist(), p.ravel().tolist())
+            verdicts["LDL^T" if _ldl_accepts(p.ravel().tolist()) else "eigvalsh"] += 1
     # Refusals, fast accepts and accepts left to eigvalsh all occur.
     assert min(verdicts.values()) > 500, verdicts
 

@@ -65,3 +65,12 @@ def test_every_exported_name_resolves_once():
     assert len(set(corestream.__all__)) == len(corestream.__all__)
     for name in corestream.__all__:
         assert hasattr(corestream, name), name
+
+
+def test_the_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Layout"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    named = set(re.findall(r"^  (\w+)\.py ", block, re.M))
+    package = README.parent / "src" / "corestream"
+    assert named == {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}

@@ -261,6 +261,13 @@ def test_random_sample_rejects_bad_size():
             random_sample(history.values, n=n, seed=0)
 
 
+@pytest.mark.parametrize("history", [np.zeros((0, 3)), []], ids=["matrix", "list"])
+@pytest.mark.parametrize("mode", ["random", "subsample"])
+def test_flat_samplers_refuse_an_empty_history(mode, history):
+    with pytest.raises(ValueError, match="^cannot sample an empty history$"):
+        random_sample(history, 4, seed=0) if mode == "random" else subsample(history, 4)
+
+
 def test_subsample_exact_spacing():
     history = DataBlock(np.arange(20.0).reshape(10, 2))
     sample = subsample(history.values, n=4)
