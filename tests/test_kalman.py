@@ -18,6 +18,7 @@ from corestream import (
     kalman_update,
 )
 from corestream import kalman
+from corestream.blocks import _wrap
 from corestream.kalman import (
     _SYM_TOL,
     COV_FLOOR,
@@ -27,7 +28,9 @@ from corestream.kalman import (
     _F,
     _H,
     _ldl_accepts,
+    _predict,
     _sym,
+    _update,
 )
 
 
@@ -363,8 +366,9 @@ def test_the_filter_psd_check_gives_the_verdict_of_eigvalsh():
 
 
 def test_the_per_frame_steps_call_no_lapack():
-    # The filter's steps stay on Python floats; only LinAlgError, for a
-    # singular innovation covariance, is taken from np.linalg.
+    # The filter's steps, which the tracking loop calls every frame, stay
+    # on Python floats; only LinAlgError, for a singular innovation
+    # covariance, is taken from np.linalg.
     tree = ast.parse(inspect.getsource(kalman))
     used = {
         node.name: {
@@ -373,9 +377,65 @@ def test_the_per_frame_steps_call_no_lapack():
             if isinstance(sub, ast.Attribute) and ast.unparse(sub.value) in ("np.linalg", "numpy.linalg")
         }
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("kalman_predict", "kalman_update")
+        if isinstance(node, ast.FunctionDef) and node.name in ("_predict", "_update")
     }
-    assert used == {"kalman_predict": set(), "kalman_update": {"LinAlgError"}}
+    assert used == {"_predict": set(), "_update": {"LinAlgError"}}
+
+
+def step_outcome(step):
+    """The bytes of the mean and covariance of the state step() returns, or
+    the type and message of its refusal."""
+    try:
+        state = step()
+    except (ValueError, np.linalg.LinAlgError) as caught:
+        return type(caught), str(caught)
+    return state.x.tobytes(), state.P.tobytes()
+
+
+STEP_CASES = ("LDL^T", "eigvalsh", "NaN", "non-PSD")
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_the_float_steps_wrapped_give_the_public_steps_bit_for_bit(case):
+    # The tracking loop calls _predict and _update on floats; the public
+    # functions wrap the same steps.  Both must give the same state, or
+    # the same refusal with the same message, on every path of the check.
+    rng = np.random.default_rng(STEP_CASES.index(case))
+    noise = NoiseParams(Q=0.1 * np.eye(4), R=0.5 * np.eye(2))
+    q, r = noise.Q.ravel().tolist(), noise.R.ravel().tolist()
+
+    def wrapped(x, p):
+        return KalmanState(x=np.array(x), P=np.reshape(p, (4, 4)))
+
+    for draw in range(10):
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        eigs = rng.uniform(0.1, 10.0, 4) * (1e5 if case == "eigvalsh" else 1.0)
+        x, cov = rng.standard_normal(4), _sym(basis @ np.diag(eigs) @ basis.T)
+        if case == "non-PSD":
+            cov[3, 3] -= 100.0
+        elif case == "NaN":  # in the mean or in the covariance, by turns
+            (x if draw % 2 else cov[3])[3] = np.nan
+        state = _wrap(KalmanState, x=x, P=cov)
+        z = rng.standard_normal(2)
+        floats = state.x.tolist(), state.P.ravel().tolist()
+        pairs = [
+            (lambda: kalman_predict(state, noise), lambda: wrapped(*_predict(*floats, q))),
+            (
+                lambda: kalman_update(state, z, noise),
+                lambda: wrapped(*_update(*floats, z.tolist(), r)),
+            ),
+        ]
+        for public, step in pairs:
+            got = step_outcome(step)
+            assert got == step_outcome(public)
+            if case == "NaN":
+                assert got == (ValueError, "state mean and covariance must be finite")
+            elif case == "non-PSD":
+                assert got[0] is ValueError
+                assert got[1].startswith("state covariance must be positive semidefinite, min eig")
+            else:
+                p = np.frombuffer(got[1]).tolist()
+                assert _ldl_accepts(p) == (case == "LDL^T")
 
 
 def test_em_fit_input_validation():

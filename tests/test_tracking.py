@@ -1,6 +1,7 @@
 """Tests for the synthetic stream generator and the full tracking loop."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from corestream import (
     DetectParams,
     Frame,
     FrameRecord,
+    KalmanState,
     LinearModel,
     NoiseParams,
     SyntheticStreamConfig,
@@ -21,6 +23,8 @@ from corestream import (
     TrainParams,
     detect,
     generate_stream,
+    kalman_predict,
+    kalman_update,
     track_stream,
 )
 from corestream import io, svm, tracking
@@ -502,19 +506,18 @@ def test_drift_tracks_match_a_looped_em(monkeypatch):
             assert np.allclose(got.estimate, want.estimate, rtol=0.0, atol=1e-8)
 
 
-def test_drift_tracks_match_the_matrix_form_filter(monkeypatch):
-    # The per-frame filter steps run on Python floats with a closed-form
-    # gain; with the matrix-form steps (LAPACK solve, public constructor)
-    # in their place, every track decision on the bundled drift streams
-    # must match and estimates agree to roundoff.
+def drift_runs(seeds, thresholds):
+    """A function running the loop on the bundled drift stream for every
+    seed and threshold, at the track-drift settings; it looks up
+    tracking.track_stream at each call."""
     streams = []
-    for seed in range(6):
+    for seed in seeds:
         config = replace(io.read_stream_config("drift_stream"), seed=seed)
         streams.append((config, generate_stream(config)))
 
     def run_all():
         return [
-            track_stream(
+            tracking.track_stream(
                 frames,
                 config,
                 tracker=TrackerParams(n=16, em_every=2),
@@ -522,13 +525,61 @@ def test_drift_tracks_match_the_matrix_form_filter(monkeypatch):
                 detect_params=DetectParams(threshold=threshold),
             )
             for config, frames in streams
-            for threshold in (0.0, None)
+            for threshold in thresholds
         ]
 
+    return run_all
+
+
+def patch_the_filter_steps(monkeypatch, predict, update):
+    """Replace the loop's float steps by predict(state, noise) and
+    update(state, z, noise) on the KalmanState built from the floats, with
+    the noise the run last fitted (the default before its first fit); each
+    checks that the loop passed that noise's floats.  Returns the count of
+    patched calls per step."""
+    calls, fit, track, noise = Counter(), tracking.em_fit, tracking.track_stream, [None]
+
+    def track_stream(*args, **kwargs):
+        noise[0] = NoiseParams.default()
+        return track(*args, **kwargs)
+
+    def em_fit(*args):
+        noise[0], history = fit(*args)
+        return noise[0], history
+
+    def floats_of(state):
+        return state.x.tolist(), state.P.ravel().tolist()
+
+    def state_of(x, p):
+        return KalmanState(x=np.array(x), P=np.reshape(p, (4, 4)))
+
+    def run_predict(x, p, q):
+        calls["predict"] += 1
+        assert q == noise[0].Q.ravel().tolist()
+        return floats_of(predict(state_of(x, p), noise[0]))
+
+    def run_update(x, p, z, r):
+        calls["update"] += 1
+        assert r == noise[0].R.ravel().tolist()
+        return floats_of(update(state_of(x, p), np.array(z), noise[0]))
+
+    monkeypatch.setattr(tracking, "track_stream", track_stream)
+    monkeypatch.setattr(tracking, "em_fit", em_fit)
+    monkeypatch.setattr(tracking, "_predict", run_predict)
+    monkeypatch.setattr(tracking, "_update", run_update)
+    return calls
+
+
+def test_drift_tracks_match_the_matrix_form_filter(monkeypatch):
+    # The per-frame filter steps run on Python floats with a closed-form
+    # gain; with the matrix-form steps (LAPACK solve, public constructor)
+    # in their place, every track decision on the bundled drift streams
+    # must match and estimates agree to roundoff.
+    run_all = drift_runs(range(6), (0.0, None))
     runs = run_all()
-    monkeypatch.setattr(tracking, "kalman_predict", matrix_predict)
-    monkeypatch.setattr(tracking, "kalman_update", matrix_update)
+    calls = patch_the_filter_steps(monkeypatch, matrix_predict, matrix_update)
     reference = run_all()
+    assert calls["predict"] > 0 and calls["update"] > 0, calls
     for run, ref in zip(runs, reference):
         assert len(run.records) == len(ref.records)
         for got, want in zip(run.records, ref.records):
@@ -539,6 +590,20 @@ def test_drift_tracks_match_the_matrix_form_filter(monkeypatch):
             )
             assert repr(got.score) == repr(want.score)
             assert np.allclose(got.estimate, want.estimate, rtol=0.0, atol=1e-9)
+
+
+def test_the_loop_on_floats_equals_the_loop_through_the_public_steps(monkeypatch):
+    # The loop carries the filter state as floats between frames; going
+    # through a KalmanState and the public steps at every frame instead
+    # must give the same records.  repr compares them, since a NaN score
+    # is not == itself; float repr round-trips, so this is bit for bit.
+    run_all = drift_runs(range(3), (0.0,))
+    floats = run_all()
+    calls = patch_the_filter_steps(monkeypatch, kalman_predict, kalman_update)
+    public = run_all()
+    assert calls["predict"] > 0 and calls["update"] > 0, calls
+    for got, want in zip(floats, public):
+        assert [repr(r) for r in got.records] == [repr(r) for r in want.records]
 
 
 def test_loop_decisions_equal_those_of_the_row_mean_model(monkeypatch):
