@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming coreset tree: reduce, build, sample, track, compare samplers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Tracking-loop knobs of track and compare-sampling; defaults are the library's.
+    # The stream config and loop knobs of track and compare-sampling; defaults are the library's.
     loop = argparse.ArgumentParser(add_help=False)
+    loop.add_argument("--config", required=True, help="stream config path or bundled name")
     loop.add_argument("--nu", type=float, default=TrainParams.nu)
     loop.add_argument("--reg", type=float, default=TrainParams.regularization)
     loop.add_argument("--iters", type=int, default=TrainParams.iterations)
@@ -209,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("track", help="run the tracking loop on a synthetic stream", parents=[loop])
-    p.add_argument("--config", required=True, help="stream config path or bundled name")
     p.add_argument("--n", type=int, default=TrackerParams.n, help="leaf size")
     p.add_argument("--sampler", default=TrackerParams.sampler, choices=SAMPLER_MODES)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compare-sampling", help="paired sampler comparison on identical streams", parents=[loop]
     )
-    p.add_argument("--config", required=True, help="stream config path or bundled name")
     p.add_argument("--n-list", required=True, help="comma-separated leaf sizes")
     p.add_argument("--seeds", required=True, help="comma-separated stream seeds")
     p.add_argument("--out", required=True, help="results CSV")

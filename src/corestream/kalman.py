@@ -11,14 +11,14 @@ The filter steps _predict and _update run on Python floats: the 4 mean
 and 16 covariance entries, row by row, in and out.  Predict equals the
 matrix form bit for bit, and update inverts the 2x2 innovation
 covariance in closed form.  Every state they return has passed the
-finite and PSD checks of _checked.  The tracking loop carries these
-floats from frame to frame; kalman_predict and kalman_update wrap the
-same steps for KalmanState in and out.  em_fit learns Q and R from an
-observed center sequence by expectation maximization.  The E-step runs
-the Kalman filter and RTS smoother as parallel-prefix scans in
-ceil(log2 T) batched levels (Sarkka & Garcia-Fernandez, IEEE TAC 2021);
-the M-step re-estimates both covariances in closed form.  The
-observed-data log-likelihood never decreases.
+finite and PSD checks of _checked, and KalmanState._trusted only wraps
+it.  The tracking loop carries these floats from frame to frame;
+kalman_predict and kalman_update wrap the same steps.  em_fit learns Q
+and R from an observed center sequence by expectation maximization.
+The E-step runs the Kalman filter and RTS smoother as parallel-prefix
+scans in ceil(log2 T) batched levels (Sarkka & Garcia-Fernandez, IEEE
+TAC 2021); the M-step re-estimates both covariances in closed form.
+The observed-data log-likelihood never decreases.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
 
 def _ldl_accepts(m: list[float]) -> bool:
     """Whether the symmetric 4x4 m (16 entries, row by row) has no diagonal entry
-    above 2^13 and m + (_SYM_TOL / 2) I positive LDL^T pivots; reads the lower triangle."""
+    above 2^13 and m + (_SYM_TOL / 2) I positive LDL^T pivots; reads the lower triangle.
+    There the LDL^T errs by at most about 2e-11, so eigvalsh accepts such an m too."""
     t = _SYM_TOL / 2.0
     a, _, _, _, b, c, _, _, d, e, f, _, g, h, i, j = m
     if max(a, c, f, j) > 2.0**13 or not (a := a + t) > 0.0:
@@ -81,7 +82,7 @@ def _check_psd(m: np.ndarray, name: str) -> None:
 def _checked(x: list[float], m: list[float]) -> tuple[list[float], list[float]]:
     """Mean x and the 16 entries of _sym(M), row by row, for the 4x4 matrix M
     whose entries m lists row by row; ValueError unless both are finite and
-    the covariance is PSD (see KalmanState)."""
+    the covariance is PSD: _ldl_accepts it, or eigvalsh words the verdict."""
     m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
     s01, s02, s03 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m03 + m30) / 2.0
     s12, s13, s23 = (m12 + m21) / 2.0, (m13 + m31) / 2.0, (m23 + m32) / 2.0
@@ -98,17 +99,9 @@ def _checked(x: list[float], m: list[float]) -> tuple[list[float], list[float]]:
 class KalmanState:
     """Filter state: mean x = (px, py, vx, vy) and covariance P.
 
-    The constructor checks and copies its input.  The filter's own
-    states pass _checked, which takes Python floats and makes P exactly
-    symmetric itself, so it keeps the finite and PSD checks but skips
-    the copy and the symmetry check; _trusted wraps what it returns.
-    That PSD check first tries an LDL^T of P + (_SYM_TOL / 2) I on Python
-    floats when no diagonal entry of P exceeds 2^13, and accepts on
-    positive pivots.  There the factorization's backward error is at
-    most about 2e-11, far inside that 5e-10 margin, so eigvalsh accepts
-    such a P too.  Every other P goes to eigvalsh, which words any
-    refusal: the verdict is always eigvalsh's.  The public constructor,
-    which takes any scale, always uses eigvalsh.
+    The constructor checks and copies its input, with eigvalsh for the
+    PSD check.  The filter's own states pass _checked instead, and
+    _trusted only wraps what it returns.
     """
 
     x: np.ndarray
@@ -119,10 +112,12 @@ class KalmanState:
         object.__setattr__(self, "P", _check_covariance(self.P, STATE_DIM, "state covariance"))
 
     @classmethod
-    def _trusted(cls, x: list[float], m: list[float]) -> "KalmanState":
-        """The state with mean x and covariance _sym(M), for the 4x4 matrix M
-        whose 16 entries m lists row by row."""
-        return _state(*_checked(x, m))
+    def _trusted(cls, x: list[float], p: list[float]) -> "KalmanState":
+        """Wrap a mean and covariance that _checked returned."""
+        mean, cov = np.array(x), np.array(p).reshape(STATE_DIM, STATE_DIM)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        return _wrap(cls, x=mean, P=cov)
 
     @property
     def position(self) -> np.ndarray:
@@ -150,14 +145,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def _state(x: list[float], p: list[float]) -> KalmanState:
-    """The KalmanState of a mean and covariance that _checked returned."""
-    mean, cov = np.array(x), np.array(p).reshape(STATE_DIM, STATE_DIM)
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    return _wrap(KalmanState, x=mean, P=cov)
-
-
 def _predict(x: list[float], p: list[float], q: list[float]) -> tuple[list[float], list[float]]:
     """The predict step on the 4 mean floats, the 16 covariance floats and
     the 16 entries of Q, all row by row; returns the checked (x, P).
@@ -182,11 +169,11 @@ def _predict(x: list[float], p: list[float], q: list[float]) -> tuple[list[float
 
 
 def _update(
-    x: list[float], p: list[float], z: list[float], r: list[float]
+    x: list[float], p: list[float], z: np.ndarray, r: list[float]
 ) -> tuple[list[float], list[float]]:
     """The update step on the 4 mean floats, the 16 covariance floats, the
-    observed center and the 4 entries of R, all row by row; returns the
-    checked (x, P).
+    observed center z, which it checks, and the 4 entries of R, all row by
+    row; returns the checked (x, P).
 
     Uses that H selects the position.  The gain is P[:, :2] S^-1, with
     the closed-form inverse of S = P[:2, :2] + R taken as given; a
@@ -195,7 +182,7 @@ def _update(
     form (I - K H) P (I - K H)^T + K R K^T, which stays symmetric PSD
     under roundoff.
     """
-    z0, z1 = z
+    z0, z1 = _array(z, (OBS_DIM,), "observation").tolist()
     rows = p[:4], p[4:8], p[8:12], p[12:]
     (p00, p01, p02, p03), (p10, p11, p12, p13), _, _ = rows
     r00, r01, r10, r11 = r
@@ -228,7 +215,8 @@ def _update(
 def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
     """Advance the state one step without an observation: F x and
     _sym(F P F^T + Q), equal to the matrix form bit for bit (see _predict)."""
-    return _state(*_predict(state.x.tolist(), state.P.ravel().tolist(), noise.Q.ravel().tolist()))
+    q = noise.Q.ravel().tolist()
+    return KalmanState._trusted(*_predict(state.x.tolist(), state.P.ravel().tolist(), q))
 
 
 def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> KalmanState:
@@ -238,8 +226,8 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
     LinAlgError where that solve would.  As R shrinks toward zero the
     position approaches z.
     """
-    z = _array(z, (OBS_DIM,), "observation").tolist()
-    return _state(*_update(state.x.tolist(), state.P.ravel().tolist(), z, noise.R.ravel().tolist()))
+    r = noise.R.ravel().tolist()
+    return KalmanState._trusted(*_update(state.x.tolist(), state.P.ravel().tolist(), z, r))
 
 
 def _scan(elements: list[np.ndarray], combine, reverse: bool = False) -> None:

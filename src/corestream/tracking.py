@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import DataBlock, _array, _check_fields
-from .kalman import OBS_DIM, KalmanState, NoiseParams, _predict, _update, em_fit
+from .blocks import DataBlock, _check_fields
+from .kalman import NoiseParams, _checked, _predict, _update, em_fit
 # Unused here, but perfbench's tracer wraps the loop's Kalman calls under these names.
 from .kalman import kalman_predict, kalman_update
 from .sampling import (
@@ -306,12 +306,11 @@ def detect(model: LinearModel, frame: Frame, threshold: float) -> tuple[int, flo
 
 
 def _initial_kalman(centers: Sequence[np.ndarray]) -> tuple[list[float], list[float]]:
-    """The first filter state, checked by the public KalmanState, as the 4
-    mean and 16 covariance floats the filter steps take."""
+    """The first filter state as the 4 mean and 16 covariance floats the
+    filter steps take, checked by _checked as every later state is."""
     last = centers[-1]
     vel = centers[-1] - centers[-2] if len(centers) >= 2 else np.zeros(2)
-    state = KalmanState(x=np.concatenate([last, vel]), P=np.eye(4))
-    return state.x.tolist(), state.P.ravel().tolist()
+    return _checked(np.concatenate([last, vel], dtype=float).tolist(), np.eye(4).ravel().tolist())
 
 
 def _noise_floats(noise: NoiseParams) -> tuple[list[float], list[float]]:
@@ -415,8 +414,7 @@ def track_stream(
             else:
                 chosen, score = found
                 position = frame.positions[chosen]
-                z = _array(position, (OBS_DIM,), "observation").tolist()
-                x, p = _update(x, p, z, r)
+                x, p = _update(x, p, position, r)
                 # history keeps this row, so it must not view the caller's frame.
                 rows = frame.features[chosen : chosen + 1].copy()
             estimate = x

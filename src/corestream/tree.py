@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CoresetBlock, DataBlock, _array, _check_fields, _wrap, concat_blocks, svd_truncate
+from .blocks import CoresetBlock, DataBlock, _array, _check_fields, _integer, _wrap
+from .blocks import concat_blocks, svd_truncate
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +150,12 @@ class CoresetTree(_Counters):
     """
 
     def __init__(self, n: int, dim: int):
+        n, dim = _integer("n", n), _integer("dim", dim)
         if n < 1:
             raise ValueError(f"leaf size n must be >= 1, got {n}")
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.n = n
-        self.dim = dim
+        self.n, self.dim = n, dim
         self._stack: list[CoresetNode] = []
         self._leaf = np.empty((n, dim))
         self._fill = 0

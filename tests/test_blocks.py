@@ -504,6 +504,28 @@ def test_every_scalar_field_check_uses_the_helper():
     assert offenders == []
 
 
+def test_every_trusted_constructor_only_wraps():
+    # _trusted builds from values the library has already checked, so it
+    # wraps them through blocks._wrap and runs no check of its own.
+    checks = {"_checked", "_array", "_check_fields", "_check_covariance", "_finite"}
+    found = {}
+    for path in sorted(Path(blocks.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_trusted":
+                    body = node.value  # _trusted = classmethod(_wrap)
+                elif isinstance(node, ast.FunctionDef) and node.name == "_trusted":
+                    body = node
+                else:
+                    continue
+                names = {getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(body)}
+                found[f"{path.stem}.{cls.name}"] = "_wrap" in names and not names & checks
+    assert found == dict.fromkeys(
+        ("blocks.DataBlock", "kalman.KalmanState", "sampling.SampleSet", "tree.TreeView"), True
+    )
+
+
 def small_view():
     """A valid n=2, dim=3 view over 7 rows."""
     tree = CoresetTree(2, 3)

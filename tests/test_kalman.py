@@ -22,6 +22,7 @@ from corestream.blocks import _wrap
 from corestream.kalman import (
     _SYM_TOL,
     COV_FLOOR,
+    _checked,
     _e_step,
     _em_once,
     _initial_guesses,
@@ -172,9 +173,9 @@ def test_entries_near_the_float_limit_are_accepted_without_a_warning():
 
 def test_filter_states_keep_the_finite_and_psd_checks():
     with pytest.raises(ValueError, match="finite"):
-        KalmanState._trusted([0.0, np.nan, 0.0, 0.0], np.eye(4).ravel().tolist())
+        _checked([0.0, np.nan, 0.0, 0.0], np.eye(4).ravel().tolist())
     with pytest.raises(ValueError, match="positive semidefinite"):
-        KalmanState._trusted(np.zeros(4).tolist(), (-np.eye(4)).ravel().tolist())
+        _checked(np.zeros(4).tolist(), (-np.eye(4)).ravel().tolist())
     # 1e308 * I and 8e307 with position-velocity correlation are valid
     # covariances, and the public checks accept both.  Either way
     # predict's f P f^T overflows.
@@ -195,7 +196,7 @@ def test_filter_states_store_the_symmetrized_covariance_bit_for_bit(scale):
     a = rng.standard_normal((4, 4))
     m = scale * (a @ a.T + np.eye(4) + 0.1 * rng.standard_normal((4, 4)))
     assert not np.array_equal(m, m.T)
-    state = KalmanState._trusted(np.zeros(4).tolist(), m.ravel().tolist())
+    state = KalmanState._trusted(*_checked(np.zeros(4).tolist(), m.ravel().tolist()))
     assert state.P.tobytes() == _sym(np.reshape(m, (4, 4))).tobytes()
 
 
@@ -356,10 +357,10 @@ def test_the_filter_psd_check_gives_the_verdict_of_eigvalsh():
             verdicts["refused"] += 1
             message = f"state covariance must be positive semidefinite, min eig {low:.3e}"
             with pytest.raises(ValueError) as caught:
-                KalmanState._trusted(np.zeros(4).tolist(), p.ravel().tolist())
+                _checked(np.zeros(4).tolist(), p.ravel().tolist())
             assert str(caught.value) == message
         else:
-            KalmanState._trusted(np.zeros(4).tolist(), p.ravel().tolist())
+            _checked(np.zeros(4).tolist(), p.ravel().tolist())
             verdicts["LDL^T" if _ldl_accepts(p.ravel().tolist()) else "eigvalsh"] += 1
     # Refusals, fast accepts and accepts left to eigvalsh all occur.
     assert min(verdicts.values()) > 500, verdicts

@@ -342,6 +342,17 @@ def test_loop_deterministic_end_to_end():
         assert (ra.score == rb.score) or (math.isnan(ra.score) and math.isnan(rb.score))
 
 
+def test_a_non_finite_bootstrap_center_is_refused_by_the_filter_check():
+    # With n = 2 and EM held off, the last bootstrap center goes straight
+    # into the first filter state, which passes the same check
+    # (_checked) as every later state.
+    config = small_config(frames=10)
+    frames = list(generate_stream(config))
+    frames[1] = replace(frames[1], truth_position=np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="^state mean and covariance must be finite$"):
+        track_stream(frames, config, tracker=TrackerParams(n=2, em_every=1000))
+
+
 def test_loop_coasts_when_nothing_clears_the_threshold():
     config = small_config(frames=20)
     frames = generate_stream(config)

@@ -20,6 +20,7 @@ from corestream import (
     hierarchical_sample,
     random_orthonormal,
 )
+from corestream.io import read_snapshot, write_snapshot
 from corestream.sampling import _tag_run
 
 
@@ -48,19 +49,32 @@ def test_constructor_validation():
 
 
 @pytest.mark.parametrize(
-    "n, dim",
+    "n, dim, message",
     [
-        pytest.param(2.0, 3, id="n-float"),
-        pytest.param(True, 3, id="n-bool"),
-        pytest.param(2, 3.0, id="dim-float"),
-        pytest.param(2, True, id="dim-bool"),
+        pytest.param(2.5, 3, "n must be an integer, got 2.5", id="n-float"),
+        pytest.param(True, 3, "n must be an integer, got True", id="n-bool"),
+        pytest.param(2, 3.0, "dim must be an integer, got 3.0", id="dim-float"),
+        pytest.param(2, True, "dim must be an integer, got True", id="dim-bool"),
     ],
 )
-def test_constructor_leaves_non_integer_sizes_to_numpy(n, dim):
-    # The leaf buffer's np.empty((n, dim)) already refuses a float or a
-    # boolean size, so the tree adds no field check of its own.
-    with pytest.raises(TypeError):
+def test_constructor_refuses_non_integer_sizes(n, dim, message):
+    # The sizes are checked as blocks._check_fields checks every other
+    # integer knob, with the same wording.
+    with pytest.raises(TypeError) as caught:
         CoresetTree(n, dim)
+    assert str(caught.value) == message
+
+
+def test_numpy_integer_sizes_are_stored_as_int(tmp_path):
+    # A numpy integer kept as n would reach the snapshot unchecked and
+    # stop the JSON writer.
+    tree = CoresetTree(np.int64(4), np.int64(3))
+    assert (type(tree.n), type(tree.dim)) == (int, int)
+    tree.push_rows(np.random.default_rng(0).standard_normal((6, 3)))
+    path = str(tmp_path / "snapshot.json")
+    write_snapshot(path, tree.snapshot())
+    back = read_snapshot(path)
+    assert (back.n, back.dim, back.leaves_seen, back.pending.shape) == (4, 3, 1, (2, 3))
 
 
 def test_push_point_validation():
