@@ -8,17 +8,17 @@ model is
 
 with F the constant-velocity transition and H reading out position.
 The filter steps _predict and _update run on Python floats: the 4 mean
-and 16 covariance entries, row by row, in and out.  Predict equals the
+and 16 covariance entries, row by row, in and out.  Each is a kernel
+followed by the finite and PSD checks of _checked.  Predict equals the
 matrix form bit for bit, and update inverts the 2x2 innovation
-covariance in closed form.  Every state they return has passed the
-finite and PSD checks of _checked, and KalmanState._trusted only wraps
-it.  The tracking loop carries these floats from frame to frame;
+covariance in closed form.  KalmanState._trusted only wraps a checked
+state.  The tracking loop carries these floats from frame to frame;
 kalman_predict and kalman_update wrap the same steps.  em_fit learns Q
 and R from an observed center sequence by expectation maximization.
-The E-step runs the Kalman filter and RTS smoother as parallel-prefix
-scans in ceil(log2 T) batched levels (Sarkka & Garcia-Fernandez, IEEE
-TAC 2021); the M-step re-estimates both covariances in closed form.
-The observed-data log-likelihood never decreases.
+Its E-step runs the same kernels forward, then one RTS pass back in
+matrix form (Shumway & Stoffer, J. Time Series Analysis 1982); the
+M-step re-estimates both covariances in closed form.  The
+observed-data log-likelihood never decreases.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ OBS_DIM = 2
 COV_FLOOR = 1e-9
 
 _SYM_TOL = 1e-9
-_I4 = np.eye(STATE_DIM)
+# A filter state: the 4 mean and 16 covariance floats, row by row.
+_Floats = tuple[list[float], list[float]]
 # One unit step adds the velocity (vx, vy) to the position (px, py).
-_F = _I4 + np.eye(STATE_DIM, k=OBS_DIM)
-_H = _I4[:OBS_DIM].copy()
+_F = np.eye(STATE_DIM) + np.eye(STATE_DIM, k=OBS_DIM)
 
 
 def _check_covariance(m: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -79,15 +79,20 @@ def _check_psd(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive semidefinite, min eig {eigs[0]:.3e}")
 
 
-def _checked(x: list[float], m: list[float]) -> tuple[list[float], list[float]]:
-    """Mean x and the 16 entries of _sym(M), row by row, for the 4x4 matrix M
-    whose entries m lists row by row; ValueError unless both are finite and
-    the covariance is PSD: _ldl_accepts it, or eigvalsh words the verdict."""
+def _symmetrized(m: list[float]) -> list[float]:
+    """The 16 entries of _sym(M), row by row, for the 4x4 matrix M whose
+    entries m lists row by row."""
     m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33 = m
     s01, s02, s03 = (m01 + m10) / 2.0, (m02 + m20) / 2.0, (m03 + m30) / 2.0
     s12, s13, s23 = (m12 + m21) / 2.0, (m13 + m31) / 2.0, (m23 + m32) / 2.0
     d0, d1, d2, d3 = (m00 + m00) / 2.0, (m11 + m11) / 2.0, (m22 + m22) / 2.0, (m33 + m33) / 2.0
-    p = [d0, s01, s02, s03, s01, d1, s12, s13, s02, s12, d2, s23, s03, s13, s23, d3]
+    return [d0, s01, s02, s03, s01, d1, s12, s13, s02, s12, d2, s23, s03, s13, s23, d3]
+
+
+def _checked(x: list[float], m: list[float]) -> _Floats:
+    """Mean x and _symmetrized(m); ValueError unless both are finite and
+    the covariance is PSD: _ldl_accepts it, or eigvalsh words the verdict."""
+    p = _symmetrized(m)
     if not all(map(math.isfinite, x + p)):
         raise ValueError("state mean and covariance must be finite")
     if not _ldl_accepts(p):
@@ -145,13 +150,14 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def _predict(x: list[float], p: list[float], q: list[float]) -> tuple[list[float], list[float]]:
+def _predict_kernel(x: list[float], p: list[float], q: list[float]) -> _Floats:
     """The predict step on the 4 mean floats, the 16 covariance floats and
-    the 16 entries of Q, all row by row; returns the checked (x, P).
+    the 16 entries of Q, all row by row; returns F x and F P F^T + Q
+    unchecked and unsymmetrized.
 
     F adds the velocity to the position, so each entry of F x and F P F^T
-    is one or two exact sums.  Written out in the order the matrix
-    products take them, the new state is F x and _sym(F P F^T + Q) bit
+    is one or two exact sums.  Written out in the order the matrix products
+    take them, _symmetrized makes the state F x and _sym(F P F^T + Q) bit
     for bit.
     """
     px, py, vx, vy = x
@@ -165,15 +171,18 @@ def _predict(x: list[float], p: list[float], q: list[float]) -> tuple[list[float
         *(p20 + p22 + q[8], p21 + p23 + q[9], p22 + q[10], p23 + q[11]),
         *(p30 + p32 + q[12], p31 + p33 + q[13], p32 + q[14], p33 + q[15]),
     ]
-    return _checked([px + vx, py + vy, vx, vy], m)
+    return [px + vx, py + vy, vx, vy], m
 
 
-def _update(
-    x: list[float], p: list[float], z: np.ndarray, r: list[float]
-) -> tuple[list[float], list[float]]:
+def _predict(x: list[float], p: list[float], q: list[float]) -> _Floats:
+    """The checked (x, P) one step ahead: _predict_kernel, then _checked."""
+    return _checked(*_predict_kernel(x, p, q))
+
+
+def _update_kernel(x: list[float], p: list[float], z: list[float], r: list[float]) -> _Floats:
     """The update step on the 4 mean floats, the 16 covariance floats, the
-    observed center z, which it checks, and the 4 entries of R, all row by
-    row; returns the checked (x, P).
+    2 floats of the observed center z and the 4 entries of R, all row by
+    row; returns the new mean and covariance unchecked and unsymmetrized.
 
     Uses that H selects the position.  The gain is P[:, :2] S^-1, with
     the closed-form inverse of S = P[:2, :2] + R taken as given; a
@@ -182,9 +191,7 @@ def _update(
     form (I - K H) P (I - K H)^T + K R K^T, which stays symmetric PSD
     under roundoff.
     """
-    z0, z1 = _array(z, (OBS_DIM,), "observation").tolist()
-    rows = p[:4], p[4:8], p[8:12], p[12:]
-    (p00, p01, p02, p03), (p10, p11, p12, p13), _, _ = rows
+    p00, p01, p02, p03, p10, p11, p12, p13, p20, p21, p22, p23, p30, p31, p32, p33 = p
     r00, r01, r10, r11 = r
     a, b, c, d = p00 + r00, p01 + r01, p10 + r10, p11 + r11
     det, scale = a * d - b * c, 1.0
@@ -196,20 +203,30 @@ def _update(
             raise np.linalg.LinAlgError("Singular matrix")
     w = scale / det
     # Row i of the gain is (P[i, 0], P[i, 1]) times adj(S) / det S.
-    k = [((u * d - v * c) * w, (v * a - u * b) * w) for u, v, _, _ in rows]
-    (k00, k01), (k10, k11), (k20, k21), (k30, k31) = k
-    x = x.copy()
-    dz0, dz1 = z0 - x[0], z1 - x[1]
+    k00, k01 = (p00 * d - p01 * c) * w, (p01 * a - p00 * b) * w
+    k10, k11 = (p10 * d - p11 * c) * w, (p11 * a - p10 * b) * w
+    k20, k21 = (p20 * d - p21 * c) * w, (p21 * a - p20 * b) * w
+    k30, k31 = (p30 * d - p31 * c) * w, (p31 * a - p30 * b) * w
+    dz0, dz1 = z[0] - x[0], z[1] - x[1]
+    px, py, vx, vy = x
+    x = [px + (k00 * dz0 + k01 * dz1), py + (k10 * dz0 + k11 * dz1),
+         vx + (k20 * dz0 + k21 * dz1), vy + (k30 * dz0 + k31 * dz1)]
     m = []
-    for i, ((w0, w1, w2, w3), (g0, g1)) in enumerate(zip(rows, k)):
-        x[i] += g0 * dz0 + g1 * dz1
+    rows = (p[:4], k00, k01), (p[4:8], k10, k11), (p[8:12], k20, k21), (p[12:], k30, k31)
+    for (w0, w1, w2, w3), g0, g1 in rows:
         # Row i of A = (I - K H) P, of V = A H^T - K R, and of the Joseph form A - V K^T.
         a0, a1 = w0 - g0 * p00 - g1 * p10, w1 - g0 * p01 - g1 * p11
         a2, a3 = w2 - g0 * p02 - g1 * p12, w3 - g0 * p03 - g1 * p13
         v0, v1 = a0 - (g0 * r00 + g1 * r10), a1 - (g0 * r01 + g1 * r11)
         m += (a0 - v0 * k00 - v1 * k01, a1 - v0 * k10 - v1 * k11)
         m += (a2 - v0 * k20 - v1 * k21, a3 - v0 * k30 - v1 * k31)
-    return _checked(x, m)
+    return x, m
+
+
+def _update(x: list[float], p: list[float], z: np.ndarray, r: list[float]) -> _Floats:
+    """The checked (x, P) with the observed center z, which it checks,
+    folded in: _update_kernel, then _checked."""
+    return _checked(*_update_kernel(x, p, _array(z, (OBS_DIM,), "observation").tolist(), r))
 
 
 def kalman_predict(state: KalmanState, noise: NoiseParams) -> KalmanState:
@@ -230,71 +247,52 @@ def kalman_update(state: KalmanState, z: np.ndarray, noise: NoiseParams) -> Kalm
     return KalmanState._trusted(*_update(state.x.tolist(), state.P.ravel().tolist(), z, r))
 
 
-def _scan(elements: list[np.ndarray], combine, reverse: bool = False) -> None:
-    """Hillis-Steele scan in place, in ceil(log2 T) batched levels: element t
-    becomes the combination of elements 0..t, or of t..T-1 when reverse is set."""
-    d = 1
-    while d < len(elements[0]):
-        combined = combine([e[:-d] for e in elements], [e[d:] for e in elements])
-        for e, c in zip(elements, combined):
-            e[slice(None, -d) if reverse else slice(d, None)] = c
-        d *= 2
-
-
-def _combine_filtering(earlier, later):
-    """Associative operator on filtering elements (A, b, C, eta, J)."""
-    (a1, b1, c1, eta1, j1), (a2, b2, c2, eta2, j2) = earlier, later
-    # C and J are symmetric, so (I + J2 C1)^-1 = m^T: one inverse serves both.
-    m = np.linalg.inv(_I4 + c1 @ j2)
-    a2m, a1mt = a2 @ m, (m @ a1).transpose(0, 2, 1)
-    b = a2m @ (b1 + c1 @ eta2) + b2
-    eta = a1mt @ (eta2 - j2 @ b1) + eta1
-    return a2m @ a1, b, a2m @ c1 @ a2.transpose(0, 2, 1) + c2, eta, a1mt @ j2 @ a1 + j1
-
-
-def _combine_smoothing(earlier, later):
-    """Associative operator on smoothing elements (E, g, L)."""
-    (e1, g1, l1), (e2, g2, l2) = earlier, later
-    return e1 @ e2, e1 @ g2 + g1, e1 @ l2 @ e1.transpose(0, 2, 1) + l1
-
-
 def _e_step(
     zs: np.ndarray, q: np.ndarray, r: np.ndarray, mu0: np.ndarray, p0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Kalman filter and RTS smoother as scans: smoothed means and covariances,
+    """Kalman filter and RTS smoother: smoothed means and covariances,
     lag[t] = Cov(x[t], x[t-1] | all observations) for t >= 1 and the
-    log-likelihood, with the prior (mu0, p0) at t = 0."""
-    hf, later = _F[:OBS_DIM], (np.arange(zs.shape[0]) > 0)[:, None, None]
-    # Filtering element 0 conditions the prior on z[0]; element t > 0 conditions
-    # the noise N(0, Q) of x[t] = F x[t-1] + w on z[t], so Q is never inverted.
-    priors = np.stack([p0, q])
-    s_inv = np.linalg.inv(priors[:, :OBS_DIM, :OBS_DIM] + r)
-    gain = priors[:, :, :OBS_DIM] @ s_inv
-    ikh = _I4 - gain @ _H
-    posts = _sym(ikh @ priors @ ikh.transpose(0, 2, 1) + gain @ r @ gain.transpose(0, 2, 1))
-    b = zs @ gain[1].T
-    b[0] = mu0 + gain[0] @ (zs[0] - mu0[:OBS_DIM])
-    c, sh = np.where(later, posts[1], posts[0]), s_inv[1] @ hf
-    eta, j = later * (sh.T @ zs[..., None]), later * (hf.T @ sh)
-    _scan([later * (ikh[1] @ _F), b[..., None], c, eta, j], _combine_filtering)
-    filt_p = _sym(c)
-    # Cholesky raises LinAlgError, before any log, unless every innovation covariance is PD.
-    pred_p = np.concatenate([p0[None], _sym(_F @ filt_p[:-1] @ _F.T + q)])
-    chol = np.linalg.cholesky(pred_p[:, :OBS_DIM, :OBS_DIM] + r)
-    innovation = zs - np.concatenate([mu0[None], b[:-1] @ _F.T])[:, :OBS_DIM]
-    white = np.linalg.solve(chol, innovation[..., None])
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2))
-    loglik = -0.5 * (zs.size * np.log(2.0 * np.pi) + float(np.sum(logdet) + np.sum(white**2)))
-    # Smoothing element t is (E, (I - E F) m, (I - E F) P) for the filtered
-    # (m, P) and gain E = P F^T pred_p[t+1]^-1, with E = 0 at the end.
-    gains_t = np.linalg.solve(pred_p[1:], _F @ filt_p[:-1])
-    e = np.concatenate([gains_t.transpose(0, 2, 1), np.zeros((1, STATE_DIM, STATE_DIM))])
-    ief = _I4 - e @ _F
-    g, l = ief @ b[..., None], ief @ filt_p
-    _scan([e, g, l], _combine_smoothing, reverse=True)
-    sp = _sym(l)
+    log-likelihood, with the prior (mu0, p0) at t = 0.  The filter runs
+    the loop's kernels and _symmetrized, so its last state is the loop's
+    bit for bit, but not _checked; it raises LinAlgError, before any
+    division or log, unless every innovation covariance is PD."""
+    q_f, r_f = q.ravel().tolist(), r.ravel().tolist()
+    r00, r01, r10, r11 = r_f
+    x, p = mu0.tolist(), p0.ravel().tolist()
+    pred, filt, quad = [], [], 0.0  # each state as its 16 covariance floats, then its mean
+    for t, z in enumerate(zs.tolist()):
+        if t:
+            x, p = _predict_kernel(x, p, q_f)
+            p = _symmetrized(p)
+        pred.append(p + x)
+        # S = P[:2, :2] + R; log det S plus the Mahalanobis term of the innovation.
+        a, b, c, d = p[0] + r00, p[1] + r01, p[4] + r10, p[5] + r11
+        det = a * d - b * c
+        if not (a > 0.0 and det > 0.0):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        dz0, dz1 = z[0] - x[0], z[1] - x[1]
+        quad += math.log(det) + (d * dz0 * dz0 - (b + c) * dz0 * dz1 + a * dz1 * dz1) / det
+        x, p = _update_kernel(x, p, z, r_f)
+        p = _symmetrized(p)
+        filt.append(p + x)
+    loglik = -0.5 * (zs.size * math.log(2.0 * math.pi) + quad)
+    # The RTS pass runs on [P | m], 4 x 5 per t.  Its gains J[t], the filtered
+    # P[t] F^T over the predicted P[t+1], are solved at once as J^T; each step
+    # back is s[t] = filt[t] + J[t] (s[t+1] - pred[t+1]) diag(J[t]^T, 1).
+    pred, filt = (
+        np.concatenate([a[:, :16].reshape(-1, STATE_DIM, STATE_DIM), a[:, 16:, None]], axis=2)
+        for a in map(np.array, (pred, filt))
+    )
+    gains_t = np.linalg.solve(pred[1:, :, :STATE_DIM], _F @ filt[:-1, :, :STATE_DIM])
+    right = np.zeros((len(gains_t), STATE_DIM + 1, STATE_DIM + 1))
+    right[:, :STATE_DIM, :STATE_DIM], right[:, STATE_DIM, STATE_DIM] = gains_t, 1.0
+    gains, smoothed = gains_t.transpose(0, 2, 1), [filt[-1]]
+    for t in range(len(gains) - 1, -1, -1):
+        smoothed.append(filt[t] + gains[t] @ (smoothed[-1] - pred[t + 1]) @ right[t])
+    s = np.array(smoothed[::-1])
+    sm, sp = s[..., STATE_DIM], _sym(s[..., :STATE_DIM])
     lag = np.concatenate([np.zeros((1, STATE_DIM, STATE_DIM)), sp[1:] @ gains_t])
-    return g[..., 0], sp, lag, loglik
+    return sm, sp, lag, loglik
 
 
 def _initial_guesses(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -315,9 +313,9 @@ def _initial_guesses(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _em_once(
     zs: np.ndarray, q: np.ndarray, r: np.ndarray, mu0: np.ndarray, p0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One EM sweep, its E-step two parallel-prefix scans (_e_step): returns
-    updated (Q, R) and the log-likelihood of the parameters that produced
-    them."""
+    """One EM sweep, the filter and smoother of _e_step, then the M-step:
+    returns updated (Q, R) and the log-likelihood of the parameters that
+    produced them."""
     t_len = zs.shape[0]
     sm, sp, lag, loglik = _e_step(zs, q, r, mu0, p0)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import DataBlock, _check_fields
+from .blocks import DataBlock, _array, _check_fields
 from .kalman import NoiseParams, _checked, _predict, _update, em_fit
 # Unused here, but perfbench's tracer wraps the loop's Kalman calls under these names.
 from .kalman import kalman_predict, kalman_update
@@ -38,6 +38,8 @@ from .tree import CoresetTree, TreeView
 FLAT_MODES = ("random", "subsample")  # the baselines that read raw history
 SAMPLER_MODES = ("hierarchical", "root", *FLAT_MODES)
 EM_ITERATIONS = 8  # sweeps per EM refit of the noise covariances
+# One shared NaN scores every frame without a detection: record == checks identity first.
+_NO_SCORE = float("nan")
 
 
 def draw_sample(mode: str, view: TreeView, history: History | None, seed: int | None) -> SampleSet:
@@ -400,7 +402,8 @@ def track_stream(
     for frame in frames:
         if model is None:
             bootstrap_frames = frame.index + 1
-            chosen, score, position = frame.truth_index, float("nan"), frame.truth_position
+            position = _array(frame.truth_position, (2,), "truth position")
+            chosen, score = frame.truth_index, _NO_SCORE
             truth_feat = frame.features[frame.truth_index]
             jitter = jitter_rng.standard_normal((config.jitter_copies, config.dim))
             rows = np.vstack([truth_feat, truth_feat + config.jitter_scale * jitter])
@@ -410,7 +413,7 @@ def track_stream(
             found = detect(model, frame, threshold)
             x, p = _predict(x, p, q)
             if found is None:
-                chosen, score, position, rows = -1, float("nan"), None, None
+                chosen, score, position, rows = -1, _NO_SCORE, None, None
             else:
                 chosen, score = found
                 position = frame.positions[chosen]

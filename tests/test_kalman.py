@@ -27,7 +27,6 @@ from corestream.kalman import (
     _em_once,
     _initial_guesses,
     _F,
-    _H,
     _ldl_accepts,
     _predict,
     _sym,
@@ -58,12 +57,10 @@ def model_matrices(dtype=float):
 
 
 def test_model_matrices():
-    f, h = model_matrices()
+    f, _ = model_matrices()
     assert _F.shape == (4, 4) and np.array_equal(_F, f)
-    assert _H.shape == (2, 4) and np.array_equal(_H, h)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(_F @ x, [4.0, 6.0, 3.0, 4.0])
-    assert np.array_equal(_H @ x, [1.0, 2.0])
 
 
 def test_state_validation():
@@ -367,10 +364,11 @@ def test_the_filter_psd_check_gives_the_verdict_of_eigvalsh():
 
 
 def test_the_per_frame_steps_call_no_lapack():
-    # The filter's steps, which the tracking loop calls every frame, stay
-    # on Python floats; only LinAlgError, for a singular innovation
-    # covariance, is taken from np.linalg.
+    # The filter's steps, which the tracking loop calls every frame, and
+    # the kernels they check stay on Python floats; only LinAlgError, for
+    # a singular innovation covariance, is taken from np.linalg.
     tree = ast.parse(inspect.getsource(kalman))
+    steps = ("_predict", "_predict_kernel", "_update", "_update_kernel")
     used = {
         node.name: {
             sub.attr
@@ -378,9 +376,9 @@ def test_the_per_frame_steps_call_no_lapack():
             if isinstance(sub, ast.Attribute) and ast.unparse(sub.value) in ("np.linalg", "numpy.linalg")
         }
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("_predict", "_update")
+        if isinstance(node, ast.FunctionDef) and node.name in steps
     }
-    assert used == {"_predict": set(), "_update": {"LinAlgError"}}
+    assert used == dict.fromkeys(steps, set()) | {"_update_kernel": {"LinAlgError"}}
 
 
 def step_outcome(step):
@@ -588,8 +586,9 @@ def em_sweeps(seeds, t_len, sweeps):
 
 @pytest.mark.parametrize("t_len", [4, 5, 16, 20, 64, 256])
 def test_e_step_matches_the_looped_filter_and_smoother(t_len):
-    # The scans reassociate the filter and smoother recursions, so they
-    # agree with the loops to roundoff, not bit for bit.
+    # The E-step's closed-form float steps and batched gain solve order
+    # their arithmetic unlike these general-inverse loops, so the two
+    # agree to roundoff, not bit for bit.
     for zs, q, r, mu0, p0 in em_sweeps(range(5), t_len, 5):
         sm, sp, lag, loglik = _e_step(zs, q, r, mu0, p0)
         ref_sm, ref_sp, ref_lag, ref_loglik = looped_e_step(zs, q, r, mu0, p0)
@@ -597,6 +596,22 @@ def test_e_step_matches_the_looped_filter_and_smoother(t_len):
         assert np.allclose(sp, ref_sp, rtol=1e-12, atol=1e-12)
         assert np.allclose(lag, ref_lag, rtol=1e-12, atol=1e-12)
         assert abs(loglik - ref_loglik) <= 1e-12 * abs(ref_loglik)
+
+
+@pytest.mark.parametrize("t_len", [4, 16, 64])
+def test_e_step_runs_the_loops_filter_forward(t_len):
+    # The forward pass is the loop's checked chain without its checks:
+    # _update at t = 0, then _predict and _update for each later t.  Its
+    # last state is also the last smoothed one, and must be the chain's
+    # bit for bit.
+    for zs, q, r, mu0, p0 in em_sweeps(range(3), t_len, 3):
+        sm, sp, _, _ = _e_step(zs, q, r, mu0, p0)
+        q_f, r_f = q.ravel().tolist(), r.ravel().tolist()
+        x, p = _update(mu0.tolist(), p0.ravel().tolist(), zs[0], r_f)
+        for z in zs[1:]:
+            x, p = _update(*_predict(x, p, q_f), z, r_f)
+        assert sm[-1].tobytes() == np.array(x).tobytes()
+        assert sp[-1].tobytes() == np.reshape(p, (4, 4)).tobytes()
 
 
 def test_e_step_rejects_a_singular_innovation():

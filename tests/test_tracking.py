@@ -342,15 +342,41 @@ def test_loop_deterministic_end_to_end():
         assert (ra.score == rb.score) or (math.isnan(ra.score) and math.isnan(rb.score))
 
 
-def test_a_non_finite_bootstrap_center_is_refused_by_the_filter_check():
-    # With n = 2 and EM held off, the last bootstrap center goes straight
-    # into the first filter state, which passes the same check
-    # (_checked) as every later state.
+def test_a_non_finite_bootstrap_center_is_refused_where_it_enters():
+    # With n = 2 and EM held off, the last bootstrap center would go
+    # straight into the first filter state; it is refused before that,
+    # where it enters the centers.
     config = small_config(frames=10)
     frames = list(generate_stream(config))
     frames[1] = replace(frames[1], truth_position=np.array([np.nan, 1.0]))
-    with pytest.raises(ValueError, match="^state mean and covariance must be finite$"):
+    with pytest.raises(ValueError, match="^truth position must be finite$"):
         track_stream(frames, config, tracker=TrackerParams(n=2, em_every=1000))
+
+
+def test_records_of_identical_runs_compare_equal():
+    # Bootstrap and missed frames share one NaN score object, and tuple
+    # comparison checks identity before ==, so records of two runs of the
+    # same stream compare equal, NaN scores included.
+    config = small_config(frames=30)
+    frames = generate_stream(config)
+    for threshold in (None, 1e9):  # the second misses every frame after the bootstrap
+        params = TrackerParams(n=8), TrainParams(), DetectParams(threshold=threshold)
+        a, b = (track_stream(frames, config, *params) for _ in range(2))
+        assert math.isnan(a.records[-1].score) == (threshold == 1e9)
+        assert a.records == b.records
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["all-3d", "2d-then-3d"])
+def test_a_misshaped_bootstrap_center_is_refused_where_it_enters(bad):
+    # A bootstrap frame's truth position becomes a filter center; one of
+    # the wrong shape is refused there, whether every center has it or
+    # only a later one does.
+    config = small_config(frames=10)
+    frames = list(generate_stream(config))
+    for i in range(bad, 2):
+        frames[i] = replace(frames[i], truth_position=np.append(frames[i].truth_position, 0.0))
+    with pytest.raises(ValueError, match=r"^truth position must be shaped \(2,\), got \(3,\)$"):
+        track_stream(frames, config, tracker=TrackerParams(n=2))
 
 
 def test_loop_coasts_when_nothing_clears_the_threshold():
@@ -469,10 +495,11 @@ def test_draw_sample_refuses_a_flat_mode_without_its_inputs():
 
 
 def test_drift_tracks_match_a_looped_em(monkeypatch):
-    # The EM E-step reassociates the filter and smoother recursions, so
-    # fitted noise moves by roundoff only: on the bundled drift streams
-    # every track decision must match an EM built from the looped
-    # reference steps, and estimates must agree to 1e-8.
+    # The EM E-step runs the closed-form float steps where the reference
+    # takes general inverses, so fitted noise moves by roundoff only: on
+    # the bundled drift streams every track decision must match an EM
+    # built from the looped reference steps, and estimates must agree to
+    # 1e-8.
     streams = []
     for seed in (0, 7):
         config = replace(io.read_stream_config("drift_stream"), seed=seed)
