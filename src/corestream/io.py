@@ -13,7 +13,8 @@ gathered in one compact buffer that array wraps, so reading needs its
 payload once, not twice; the file size is checked against the header
 before anything is allocated.  Structured state (summary blocks, tree
 snapshots) is JSON with floats written in shortest round-trip form,
-which keeps the files human-diffable and the round trip exact.
+which keeps the files human-diffable and the round trip exact.  It is
+indented, one matrix row a line; older fully indented files still read.
 """
 
 from __future__ import annotations
@@ -164,38 +165,20 @@ _MATRIX = "\x00matrix"
 
 
 def _write_json(path: str, doc: dict, matrices: list[np.ndarray]) -> None:
-    """Write the bytes json.dump(doc, fh, indent=2) and a newline would
-    if the i-th _MATRIX mark in doc were matrices[i] as a nested list.
-
-    The indented encoder is pure Python, so it only lays out the small
-    skeleton; each matrix row goes through the C encoder and is re-laid
-    one number per line, so no string of the whole file is ever built.
-    """
+    """Write doc as indent=2 JSON, the i-th _MATRIX mark as matrices[i] one row per line."""
     pieces = json.dumps(doc, indent=2).split(json.dumps(_MATRIX))
     with open(path, "w", encoding="ascii") as fh:
         for before, matrix in zip(pieces[:-1], matrices, strict=True):
             fh.write(before)
             line = before[before.rfind("\n") + 1 :]
-            _write_matrix(fh, matrix, " " * (len(line) - len(line.lstrip(" "))))
+            pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            sep = "[" + pad + "  "
+            for row in matrix:
+                fh.write(sep + json.dumps(row.tolist()))
+                sep = "," + pad + "  "
+            fh.write(pad + "]" if len(matrix) else "[]")
         fh.write(pieces[-1])
         fh.write("\n")
-
-
-def _write_matrix(fh, matrix: np.ndarray, pad: str) -> None:
-    if matrix.shape[0] == 0:
-        fh.write("[]")
-        return
-    row_open = "\n" + pad + "  [\n" + pad + "    "
-    between = ",\n" + pad + "    "
-    row_close = "\n" + pad + "  ]"
-    fh.write("[")
-    for i, row in enumerate(matrix):
-        if i:
-            fh.write(",")
-        fh.write(row_open)
-        fh.write(json.dumps(row.tolist())[1:-1].replace(", ", between))
-        fh.write(row_close)
-    fh.write("\n" + pad + "]")
 
 
 def _block_to_dict(cb: CoresetBlock) -> dict:
@@ -250,6 +233,7 @@ def _block_from_dict(raw: dict, where: str) -> CoresetBlock:
 
 
 def write_coreset(path: str, cb: CoresetBlock) -> None:
+    """Write one summary block as a coreset-block JSON document."""
     doc = {"format": BLOCK_FORMAT, "version": 1}
     doc.update(_block_to_dict(cb))
     _write_json(path, doc, [cb.block.values])
@@ -273,6 +257,7 @@ def _read_doc(path: str, fmt: str) -> dict:
 
 
 def read_coreset(path: str) -> CoresetBlock:
+    """The summary block in a coreset-block JSON document."""
     return _block_from_dict(_read_doc(path, BLOCK_FORMAT), path)
 
 

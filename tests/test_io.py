@@ -471,25 +471,63 @@ def snapshot_doc(view) -> dict:
     }
 
 
+def rows_on_lines(doc) -> str:
+    """json.dumps(doc, indent=2) with each row of a matrix (a non-empty
+    list of lists) on one line, as json.dumps writes the row alone."""
+    rows = []
+
+    def mark(value):
+        if type(value) is dict:
+            return {key: mark(item) for key, item in value.items()}
+        if type(value) is list and value and type(value[0]) is list:
+            rows.extend(value)
+            return [f"\0row {i}" for i in range(len(rows) - len(value), len(rows))]
+        if type(value) is list:
+            return [mark(item) for item in value]
+        return value
+
+    text = json.dumps(mark(doc), indent=2)
+    return re.sub(r'"\\u0000row (\d+)"', lambda m: json.dumps(rows[int(m.group(1))]), text)
+
+
+def block_bits(cb: CoresetBlock):
+    values = cb.block.values
+    return cb.c.hex(), cb.source_rows, values.dtype.str, values.shape, values.tobytes()
+
+
+def view_bits(view):
+    counters = (view.n, view.dim, view.points_seen, view.leaves_seen, view.merge_count, view.max_live_nodes)
+    nodes = [(node.level, node.span, *block_bits(node.summary)) for node in view.nodes]
+    pending = view.pending
+    return counters, nodes, pending.dtype.str, pending.shape, pending.tobytes()
+
+
 @pytest.mark.parametrize(
     "n, dim, points",
     [(4, 5, 31), (128, 256, 3109), (64, 16, 849), (32, 64, 6413), (8, 4, 64), (1, 2, 37), (4, 3, 0)],
 )
 def test_snapshot_and_block_files_are_indented_json(tmp_path, n, dim, points):
-    # The writer encodes matrices row by row; its bytes must still be
-    # exactly what json.dump(..., indent=2) writes, with or without
-    # pending rows and nodes.
+    # The writer encodes matrices row by row: the file is what
+    # json.dump(..., indent=2) writes with each matrix row one compact
+    # value, with or without pending rows and nodes.  Files in the older
+    # layout, every number on its own line, read to the same bits.
     rng = np.random.default_rng(n + dim)
     tree = CoresetTree(n, dim)
     tree.push_rows(rng.standard_normal((points, dim)) * 0.97 ** np.arange(dim))
     view = tree.snapshot()
-    path = tmp_path / "snap.json"
+    path, old = tmp_path / "snap.json", tmp_path / "old.json"
     io.write_snapshot(str(path), view)
-    assert path.read_bytes() == (json.dumps(snapshot_doc(view), indent=2) + "\n").encode()
+    assert path.read_bytes() == (rows_on_lines(snapshot_doc(view)) + "\n").encode()
+    old.write_text(json.dumps(snapshot_doc(view), indent=2) + "\n")
+    assert view_bits(io.read_snapshot(str(path))) == view_bits(view)
+    assert view_bits(io.read_snapshot(str(old))) == view_bits(view)
     for node in view.nodes[:1]:
         io.write_coreset(str(path), node.summary)
         want = {"format": "coreset-block", "version": 1, **block_doc(node.summary)}
-        assert path.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
+        assert path.read_bytes() == (rows_on_lines(want) + "\n").encode()
+        old.write_text(json.dumps(want, indent=2) + "\n")
+        assert block_bits(io.read_coreset(str(path))) == block_bits(node.summary)
+        assert block_bits(io.read_coreset(str(old))) == block_bits(node.summary)
 
 
 @pytest.mark.parametrize("value", ["0.054", True, [0.5]])
